@@ -13,7 +13,7 @@ Run:  python examples/griphyn_tier2.py
 
 from repro import build_cluster
 from repro.core.tools import InsertEthers, queue_cluster_reinstall
-from repro.services import enable_monitoring
+from repro.monitoring import enable_cluster_monitoring
 
 #: peak double-precision flops per cycle for a PIII-class core
 FLOPS_PER_CYCLE = 1.0
@@ -78,10 +78,11 @@ def main() -> None:
     print(f"  ({2000 / gflops:.0f} such clusters ≈ the 2 TFLOPS install base)")
 
     print("\n== monitoring the production floor ==")
-    monitor = enable_monitoring(sim.env, sim.nodes + storage + [f.machine])
+    stack = enable_cluster_monitoring(f, sim.nodes + storage)
     sim.env.run(until=sim.env.now + 60)
-    up = monitor.up_hosts()
-    print(f"  {len(up)} hosts heartbeating; 0 stale")
+    up = stack.aggregator.up_hosts()
+    stale = stack.aggregator.down_hosts()
+    print(f"  {len(up)} hosts heartbeating; {len(stale)} stale")
 
     print("\n== nightly security refresh via the queue (unattended) ==")
     f.maui.start()

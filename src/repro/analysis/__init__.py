@@ -57,7 +57,7 @@ from .render import JSON_SCHEMA_VERSION, render_json, render_text, summarize
 from .sanitizer import (
     SCENARIOS,
     SanitizeOptions,
-    SanitizedEnvironment,
+    Sanitizer,
     SanitizerSession,
     diagnose_divergence,
     run_scenario,
@@ -81,7 +81,7 @@ __all__ = [
     "SCENARIOS",
     "SELF_PASSES",
     "SanitizeOptions",
-    "SanitizedEnvironment",
+    "Sanitizer",
     "SanitizerSession",
     "SelfLintContext",
     "Severity",

@@ -13,14 +13,15 @@ golden digest far from the real bug starts flaking.
 This module is TSan for the DES.  Two mechanisms, both opt-in:
 
 * **Schedule perturbation** — ``Environment(sanitize=SanitizeOptions(seed))``
-  builds a :class:`SanitizedEnvironment` whose tie-breaks among
-  same-timestamp events are drawn from a seeded RNG instead of the
-  arrival sequence.  Same-tick events are logically *concurrent*: any
-  dispatch order is a legal execution, so if two perturbation seeds
-  produce different scenario digests, a scheduling race is **proven** —
-  no false positives.  Each dispatch is logged with the event's
-  scheduling stack, so :func:`diagnose_divergence` can report the
-  colliding event pair and the first divergent simulated timestamp.
+  builds an :class:`~repro.netsim.profiler.InstrumentedEnvironment`
+  whose :class:`Sanitizer` draws the tie-breaks among same-timestamp
+  events from a seeded RNG instead of the arrival sequence.  Same-tick
+  events are logically *concurrent*: any dispatch order is a legal
+  execution, so if two perturbation seeds produce different scenario
+  digests, a scheduling race is **proven** — no false positives.  Each
+  dispatch is logged with the event's scheduling stack, so
+  :func:`diagnose_divergence` can report the colliding event pair and
+  the first divergent simulated timestamp.
 
 * **Runtime traps** — inside a :func:`sanitized` session, module-level
   ``random.*`` calls (RK311) and wall-clock reads (RK312) are
@@ -31,15 +32,15 @@ This module is TSan for the DES.  Two mechanisms, both opt-in:
   attribute written by two different processes within one tick (RK313).
 
 The default ``Environment()`` path is untouched: sanitization swaps in
-a subclass at construction time, so the unsanitized scheduler and
-dispatch loops carry zero extra instructions (see
-``bench_scaling_10k.py --quick``'s overhead guard).
+the instrumented subclass at construction time — the same one the
+engine self-profiler uses, so a run can be sanitized and profiled at
+once — and the plain scheduler and dispatch loops carry zero extra
+instructions (see ``bench_scaling_10k.py --quick``'s overhead guard).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 import sys
 import time
@@ -50,12 +51,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
 from ..netsim import engine as _engine
-from ..netsim.engine import Environment, Event, Process, SimulationError, Timeout
+from ..netsim.engine import Environment, Event, Process, Timeout
 from .diagnostics import Diagnostic, SourceLocation, code_info
 
 __all__ = [
     "SanitizeOptions",
-    "SanitizedEnvironment",
+    "Sanitizer",
     "SanitizerSession",
     "sanitized",
     "DispatchRecord",
@@ -70,6 +71,13 @@ __all__ = [
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 _THIS_FILE = __file__
 
+#: frames kept per scheduling stack in race reports
+_STACK_DEPTH = 5
+
+#: source files holding scheduling machinery (the engine and the
+#: instrumented environment), whose frames never name a race's site
+_MACHINERY_FILES = ("netsim/engine", "netsim/profiler")
+
 
 @dataclass(frozen=True)
 class SanitizeOptions:
@@ -79,15 +87,11 @@ class SanitizeOptions:
     seeds explore two different (equally legal) dispatch orders of every
     same-tick event population.  ``record_stacks`` captures a scheduling
     stack per event for race reports; turn it off for very large
-    scenarios where the digest verdict alone is enough.  ``traps``
-    controls the runtime random/wall-clock interception installed by
-    :func:`sanitized`.
+    scenarios where the digest verdict alone is enough.
     """
 
     seed: int = 0
     record_stacks: bool = True
-    stack_depth: int = 5
-    traps: bool = True
 
 
 @dataclass(frozen=True)
@@ -120,54 +124,69 @@ def _event_label(event: Event) -> str:
     return type(event).__name__
 
 
-class SanitizedEnvironment(Environment):
-    """An :class:`Environment` with seeded-random same-tick tie-breaks.
+class Sanitizer:
+    """The sanitizer's half of an instrumented environment.
 
-    Heap entries are ``(time, (perturbation, seq), event)`` — the seeded
-    32-bit perturbation dominates the sequence number, so events due at
-    the same instant dispatch in a seed-dependent order while distinct
-    instants keep their causal order.  The trailing sequence number
-    keeps keys unique (events are never compared) and keeps a single
-    run fully deterministic for its seed.
+    It supplies every heap entry's tie-break key, ``(perturbation,
+    seq)``: the seeded 32-bit perturbation dominates the sequence
+    number, so events due at the same instant dispatch in a
+    seed-dependent order while distinct instants keep their causal
+    order.  The trailing sequence number keeps keys unique (events are
+    never compared) and keeps a single run fully deterministic for its
+    seed.
 
-    Every dispatch is appended to :attr:`dispatch_log`; every scheduled
-    event's scheduling stack is captured so a divergence can be
+    Every scheduled event's scheduling stack is captured, and every
+    dispatch is appended to :attr:`dispatch_log`, so a divergence can be
     explained, not just detected.
     """
 
-    __slots__ = ("options", "dispatch_log", "_pert", "_meta", "_session")
+    __slots__ = ("options", "dispatch_log", "_pert", "_meta")
 
-    def __init__(self, initial_time: float = 0.0,
-                 sanitize: Optional[SanitizeOptions] = None):
-        options = sanitize
-        if options is None:
-            options = getattr(_engine, "_AMBIENT_SANITIZE", None)
-        if options is None:
-            options = SanitizeOptions()
-        super().__init__(initial_time)
+    def __init__(self, options: SanitizeOptions):
         self.options = options
         self.dispatch_log: list[DispatchRecord] = []
         self._pert = random.Random(("perturb", options.seed).__repr__())
         #: Event -> (label, site, stack), captured at schedule time
         self._meta: dict[Event, tuple[str, str, tuple[str, ...]]] = {}
-        self._session = _ACTIVE_SESSION
-        if self._session is not None:
-            self._session.envs.append(self)
 
-    # -- scheduling with perturbed tie-breaks ------------------------------
-    _INTERNAL_FRAMES = frozenset(
-        {"_capture", "_schedule", "timeout_batch", "step", "run"})
+    def tiebreak(self, seq: int) -> tuple[int, int]:
+        """The perturbed heap key for sequence number ``seq``."""
+        return (self._pert.getrandbits(32), seq)
+
+    def scheduled(self, event: Event, active: Optional[Process]) -> None:
+        """Remember who scheduled ``event`` (first scheduling wins)."""
+        if event in self._meta:
+            return
+        site, stack = self._capture()
+        label = _event_label(event)
+        if active is not None:
+            label = f"{label} by {active.name}"
+        self._meta[event] = (label, site, stack)
+
+    def dispatched(self, when: float, event: Event) -> None:
+        """Log a dispatch; a cancelled event only drops its metadata."""
+        meta = self._meta.pop(event, None)
+        if event._cancelled:
+            return
+        if meta is None:
+            meta = (_event_label(event), "<unknown>", ())
+        self.dispatch_log.append(DispatchRecord(when, *meta))
+
+    _INTERNAL_FRAMES = frozenset({"_capture", "scheduled"})
 
     def _capture(self) -> tuple[str, tuple[str, ...]]:
-        """(site, stack) of the schedule call, machinery frames dropped."""
+        """(site, stack) of the schedule call, machinery frames dropped:
+        the engine, the instrumented environment, and this class."""
         raw = traceback.extract_stack()
-        frames = [
-            f for f in raw
-            if "netsim/engine" not in f.filename.replace("\\", "/")
-            and not (f.filename == _THIS_FILE
-                     and f.name in self._INTERNAL_FRAMES)
-        ]
-        trimmed = frames[-self.options.stack_depth:]
+        frames = []
+        for f in raw:
+            path = f.filename.replace("\\", "/")
+            if any(m in path for m in _MACHINERY_FILES):
+                continue
+            if f.filename == _THIS_FILE and f.name in self._INTERNAL_FRAMES:
+                continue
+            frames.append(f)
+        trimmed = frames[-_STACK_DEPTH:]
         rendered = tuple(
             f"{_relpath(f.filename)}:{f.lineno} in {f.name}"
             for f in reversed(trimmed)
@@ -177,85 +196,8 @@ class SanitizedEnvironment(Environment):
             return site, ()
         return site, rendered
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        event._scheduled = True
-        if event._cancelled:
-            self._n_cancelled += 1
-        if event not in self._meta:
-            site, stack = self._capture()
-            label = _event_label(event)
-            active = self._active_process
-            if active is not None:
-                label = f"{label} by {active.name}"
-            self._meta[event] = (label, site, stack)
-        heapq.heappush(
-            self._queue,
-            (self._now + delay,
-             (self._pert.getrandbits(32), next(self._seq)),
-             event),
-        )
-
-    def timeout_batch(self, delays: Iterable[float],
-                      value: Any = None) -> list[Timeout]:
-        # The base class pushes raw (due, seq, event) entries; sanitized
-        # heaps need perturbed keys, so fall back to one-by-one creation
-        # (identical semantics and sequence-number order, just slower).
-        return [Timeout(self, delay, value) for delay in delays]
-
-    # -- dispatch with logging ---------------------------------------------
-    def step(self) -> None:
-        if not self._queue:
-            raise SimulationError("no more events to step through")
-        when, _, event = heapq.heappop(self._queue)
-        self._now = when
-        meta = self._meta.pop(event, None)
-        if event._cancelled:
-            self._n_cancelled -= 1
-            event._scheduled = False
-            return
-        if meta is None:
-            meta = (_event_label(event), "<unknown>", ())
-        self.dispatch_log.append(
-            DispatchRecord(when, meta[0], meta[1], meta[2])
-        )
-        callbacks, event.callbacks = event.callbacks, []
-        event._scheduled = False
-        self.events_dispatched += 1
-        for cb in callbacks:
-            cb(event)
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        # Same semantics as the base loop, routed through the recording
-        # step(); sanitized runs trade raw speed for observability.
-        step = self.step
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._triggered:
-                if stop_event._cancelled:
-                    raise SimulationError(
-                        "run(until=...) awaits a cancelled event, "
-                        "which can never trigger"
-                    )
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered"
-                    )
-                step()
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= deadline:
-            step()
-        if deadline != float("inf"):
-            self._now = max(self._now, deadline)
-        return None
-
 
 # -- the session: traps + write log -----------------------------------------------
-
-_ACTIVE_SESSION: Optional["SanitizerSession"] = None
 
 #: module-level random functions routed through the shared global RNG
 _TRAPPED_RANDOM = (
@@ -279,7 +221,7 @@ class SanitizerSession:
     def __init__(self, options: SanitizeOptions):
         self.options = options
         #: sanitized environments constructed while this session is active
-        self.envs: list[SanitizedEnvironment] = []
+        self.envs: list[Environment] = []
         self._diagnostics: list[Diagnostic] = []
         self._seen: set[tuple[str, str, int]] = set()
         #: (id(obj), attr) -> (tick, writer) — the same-tick write log
@@ -289,7 +231,7 @@ class SanitizerSession:
 
     # -- diagnostics ------------------------------------------------------
     @property
-    def current_env(self) -> Optional[SanitizedEnvironment]:
+    def current_env(self) -> Optional[Environment]:
         return self.envs[-1] if self.envs else None
 
     def diagnostics(self) -> list[Diagnostic]:
@@ -414,28 +356,24 @@ def sanitized(options: Optional[SanitizeOptions] = None,
     """Run a region under the sanitizer.
 
     Inside the block every ``Environment()`` constructed anywhere — in
-    ``build_cluster``, ``run_storm``, a test fixture — becomes a
-    :class:`SanitizedEnvironment` with the given options, and the
-    runtime traps are armed.  Yields the :class:`SanitizerSession`
-    holding the per-environment dispatch logs and trap diagnostics.
+    ``build_cluster``, ``run_storm``, a test fixture — is sanitized with
+    the given options (and also profiled inside a
+    :func:`~repro.netsim.profiler.profiled` block, in either nesting
+    order), and the runtime traps are armed.  Yields the
+    :class:`SanitizerSession` holding the sanitized environments and
+    the trap diagnostics.
     """
-    global _ACTIVE_SESSION
     opts = options if options is not None else SanitizeOptions()
     session = SanitizerSession(opts)
-    prev_session = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
-    prev_ambient = _engine.set_ambient_sanitize(opts)
-    if opts.traps:
-        session._install_traps()
+    session._install_traps()
     for cls in watch:
         session.watch(cls)
     try:
-        yield session
+        with _engine.ambient(sanitizer=session):
+            yield session
     finally:
         session._unwatch_all()
         session._remove_traps()
-        _engine.set_ambient_sanitize(prev_ambient)
-        _ACTIVE_SESSION = prev_session
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -449,7 +387,7 @@ def _scenario_race_fixture(n: int) -> str:
     non-associative float update make the outcome depend on dispatch
     order.  This is the positive control: the sanitizer must catch it.
     """
-    env = Environment()  # ambient sanitize makes this a SanitizedEnvironment
+    env = Environment()  # the ambient session sanitizes this environment
     order: list[int] = []
     shared = [0.0]
 
@@ -522,7 +460,7 @@ def run_scenario(name: str, perturb_seed: int,
         output = runner(nodes if nodes is not None else default_nodes)
     log: list[DispatchRecord] = []
     for env in session.envs:
-        log.extend(env.dispatch_log)
+        log.extend(env.sanitizer.dispatch_log)
     return ScenarioRun(
         scenario=name,
         perturb_seed=perturb_seed,

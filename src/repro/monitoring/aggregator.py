@@ -5,9 +5,8 @@ frontend's NIC and builds the live cluster view: the last packet per
 host, per-host staleness ages, and a :class:`~.rrd.RoundRobinStore`
 holding every numeric series as ``<host>/<metric>``.  An attached
 :class:`~.alerts.AlertEngine` is evaluated on a fixed tick, and any
-number of ``on_packet`` listeners (the legacy
-:class:`~repro.services.monitor.ClusterMonitor`, tests, dashboards)
-see every packet as it lands.
+number of ``on_packet`` listeners (tests, dashboards) see every packet
+as it lands.
 
 The aggregator is a :class:`~repro.services.base.Service`, so the fault
 injector can kill it like any other daemon — a dead gmetad drops

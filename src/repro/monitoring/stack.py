@@ -5,10 +5,9 @@ a built frontend and its machines it stands up the whole Ganglia-style
 stack: one :class:`~.agent.MetricAgent` per machine (the frontend's
 agent additionally samples service health, HTTP admission gauges, and
 PBS queue depths), a :class:`~.aggregator.MetricAggregator` listening
-on the frontend NIC, the :class:`~.rrd.RoundRobinStore`, an
-:class:`~.alerts.AlertEngine` with the default rules, and an agent-fed
-legacy :class:`~repro.services.monitor.ClusterMonitor` so the old
-``down_hosts`` API keeps one source of truth.
+on the frontend NIC, the :class:`~.rrd.RoundRobinStore`, and an
+:class:`~.alerts.AlertEngine` with the default rules.  The aggregator's
+``up_hosts``/``down_hosts`` are the cluster's one heartbeat view.
 
 Everything is opt-in and purely observational: with no stack built, the
 monitoring subsystem contributes zero simulation events.
@@ -22,7 +21,6 @@ from typing import Callable, Iterable, Optional
 
 from ..cluster import Machine
 from ..scheduler.pbs import JobState
-from ..services.monitor import ClusterMonitor
 from .agent import GMOND_MULTICAST, MetricAgent
 from .aggregator import MetricAggregator
 from .alerts import AlertEngine, AlertRule, default_rules
@@ -45,8 +43,6 @@ class MonitoringOptions:
     stale_after: Optional[float] = None
     #: alert rules; None -> :func:`~.alerts.default_rules`
     rules: Optional[tuple[AlertRule, ...]] = None
-    #: also feed the legacy ClusterMonitor (single source of truth)
-    legacy_monitor: bool = True
 
 
 def frontend_sampler(frontend) -> Callable:
@@ -93,7 +89,6 @@ class MonitoringStack:
         aggregator: MetricAggregator,
         store: RoundRobinStore,
         engine: AlertEngine,
-        cluster_monitor: Optional[ClusterMonitor],
         options: MonitoringOptions,
     ):
         self.env = env
@@ -102,7 +97,6 @@ class MonitoringStack:
         self.aggregator = aggregator
         self.store = store
         self.engine = engine
-        self.cluster_monitor = cluster_monitor
         self.options = options
         self._watch_proc = None
 
@@ -193,12 +187,6 @@ def enable_cluster_monitoring(
         stale_after=opts.stale_after,
         engine=engine,
     )
-    cluster_monitor = None
-    if opts.legacy_monitor:
-        cluster_monitor = ClusterMonitor(
-            env, heartbeat_seconds=opts.interval
-        )
-        cluster_monitor.attach_source(aggregator)
     agents = []
     all_machines = [frontend.machine] + [
         m for m in machines if m is not frontend.machine
@@ -215,8 +203,6 @@ def enable_cluster_monitoring(
             )
         )
         aggregator.expect(machine.hostid)
-        if cluster_monitor is not None:
-            cluster_monitor.expect(machine.hostid)
     return MonitoringStack(
         env=env,
         group=group,
@@ -224,6 +210,5 @@ def enable_cluster_monitoring(
         aggregator=aggregator,
         store=store,
         engine=engine,
-        cluster_monitor=cluster_monitor,
         options=opts,
     )

@@ -20,8 +20,7 @@ from .flows import Flow, FlowNetwork, Link, TransferAborted
 from .multicast import Datagram, MulticastGroup
 from .profiler import (
     EngineProfiler,
-    ProfiledEnvironment,
-    ProfileOptions,
+    InstrumentedEnvironment,
     ProfileSession,
     profiled,
 )
@@ -72,8 +71,7 @@ __all__ = [
     "MBIT",
     "MBYTE",
     "EngineProfiler",
-    "ProfiledEnvironment",
-    "ProfileOptions",
+    "InstrumentedEnvironment",
     "ProfileSession",
     "profiled",
 ]

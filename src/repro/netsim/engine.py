@@ -16,12 +16,18 @@ subset of the SimPy process model:
 Determinism matters: benchmark tables must be reproducible run-to-run,
 so ties in the event queue are broken by a monotonically increasing
 sequence number, never by object identity.
+
+The schedule sanitizer and the self-profiler observe this loop through
+one subclass, :class:`repro.netsim.profiler.InstrumentedEnvironment`,
+swapped in at construction time; :class:`Environment` itself carries no
+instrumentation branch.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry import NULL_TRACER
@@ -35,8 +41,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "set_ambient_sanitize",
-    "set_ambient_profile",
+    "ambient",
 ]
 
 
@@ -328,60 +333,49 @@ class Process(Event):
             nxt.callbacks.append(self._resume)
 
 
-#: ambient sanitize options (see :func:`set_ambient_sanitize`).  ``None``
-#: means plain environments — the only value with hot-path code attached.
-_AMBIENT_SANITIZE: Any = None
-
-#: ambient profile options (see :func:`set_ambient_profile`); same
-#: construction-time swap, to :class:`repro.netsim.profiler.ProfiledEnvironment`.
-_AMBIENT_PROFILE: Any = None
+#: The (sanitizer, profiler) sessions every newly built Environment
+#: joins, set for the length of a block by :func:`ambient`.  ``(None,
+#: None)`` builds plain environments — the only value with hot-path
+#: code attached.
+_AMBIENT: tuple[Any, Any] = (None, None)
 
 
-def set_ambient_sanitize(options: Any) -> Any:
-    """Set the sanitize options newly built Environments default to.
+@contextmanager
+def ambient(sanitizer: Any = None, profiler: Any = None):
+    """Make every Environment built inside the block an instrumented one.
 
-    This is the hook `repro sanitize` uses to reach environments that
-    scenarios construct internally (``build_cluster``, ``run_storm``):
-    with an ambient option set, every ``Environment()`` created without
-    an explicit ``sanitize=`` argument becomes a sanitized environment.
-    Returns the previous value so callers can restore it; the
-    :func:`repro.analysis.sanitizer.sanitized` context manager does the
-    set/restore pairing.
+    This is how ``repro sanitize`` and the engine self-profiler reach
+    environments that scenarios construct internally (``build_cluster``,
+    ``run_storm``): while a session is set, ``Environment()`` returns an
+    :class:`~repro.netsim.profiler.InstrumentedEnvironment` that joins
+    it.  A ``None`` argument keeps the enclosing block's session, so
+    :func:`repro.analysis.sanitizer.sanitized` and
+    :func:`repro.netsim.profiler.profiled` nest in either order.
     """
-    global _AMBIENT_SANITIZE
-    previous = _AMBIENT_SANITIZE
-    _AMBIENT_SANITIZE = options
-    return previous
-
-
-def set_ambient_profile(options: Any) -> Any:
-    """Set the profile options newly built Environments default to.
-
-    The engine self-profiler's ambient hook (see
-    :mod:`repro.netsim.profiler`): with one set, every plain
-    ``Environment()`` becomes a ``ProfiledEnvironment``.  An ambient
-    *sanitize* option takes precedence — the sanitizer's verdict relies
-    on owning the dispatch loop.  Returns the previous value; the
-    :func:`repro.netsim.profiler.profiled` context manager does the
-    set/restore pairing.
-    """
-    global _AMBIENT_PROFILE
-    previous = _AMBIENT_PROFILE
-    _AMBIENT_PROFILE = options
-    return previous
+    global _AMBIENT
+    previous = _AMBIENT
+    _AMBIENT = (
+        previous[0] if sanitizer is None else sanitizer,
+        previous[1] if profiler is None else profiler,
+    )
+    try:
+        yield
+    finally:
+        _AMBIENT = previous
 
 
 class Environment:
     """Holds simulated time and the pending event queue.
 
-    ``sanitize`` opts one environment into the schedule-perturbation
-    sanitizer (see :mod:`repro.analysis.sanitizer`): pass a
-    ``SanitizeOptions`` and the constructor returns a
-    ``SanitizedEnvironment`` whose tie-breaks among same-timestamp
-    events are seeded-randomly perturbed and whose dispatches are
-    logged.  The default (``None``, unless an ambient option is set)
-    builds this class unchanged — the sanitizer adds **zero** code to
-    the default scheduling and dispatch paths.
+    ``sanitize`` (a ``SanitizeOptions``, see
+    :mod:`repro.analysis.sanitizer`) and ``profile`` (a bool, see
+    :mod:`repro.netsim.profiler`) opt one environment into the
+    schedule-perturbation sanitizer, the engine self-profiler, or both:
+    the constructor then returns an
+    :class:`~repro.netsim.profiler.InstrumentedEnvironment`.  The
+    default (neither set, explicitly or through :func:`ambient`) builds
+    this class unchanged — instrumentation adds **zero** code to the
+    default scheduling and dispatch paths.
     """
 
     __slots__ = (
@@ -396,20 +390,17 @@ class Environment:
     )
 
     def __new__(cls, initial_time: float = 0.0, sanitize: Any = None,
-                profile: Any = None):
-        if cls is Environment:
-            options = sanitize if sanitize is not None else _AMBIENT_SANITIZE
-            if options is not None:
-                from ..analysis.sanitizer import SanitizedEnvironment
+                profile: bool = False):
+        if cls is Environment and (
+            sanitize is not None or profile or _AMBIENT != (None, None)
+        ):
+            from .profiler import InstrumentedEnvironment
 
-                return object.__new__(SanitizedEnvironment)
-            if profile is not None or _AMBIENT_PROFILE is not None:
-                from .profiler import ProfiledEnvironment
-
-                return object.__new__(ProfiledEnvironment)
+            return object.__new__(InstrumentedEnvironment)
         return object.__new__(cls)
 
-    def __init__(self, initial_time: float = 0.0, sanitize: Any = None):
+    def __init__(self, initial_time: float = 0.0, sanitize: Any = None,
+                 profile: bool = False):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()

@@ -193,8 +193,8 @@ class FlowNetwork:
         self.env = env
         self._incremental = incremental
         # Construction-time only: a profiled environment wants refill
-        # counts, so hand it this network (plain envs have no .profile).
-        profiler = getattr(env, "profile", None)
+        # counts, so hand it this network (plain envs have no .profiler).
+        profiler = getattr(env, "profiler", None)
         if profiler is not None:
             profiler.note_network(self)
         # dict-as-set: insertion-ordered, so rate credits and completion

@@ -1,20 +1,24 @@
-"""Engine self-profiler: where does the *wall* time of a run go?
+"""Engine self-profiler and the one instrumented dispatch loop.
 
 Critical-path analysis (:mod:`repro.telemetry.critpath`) explains
-simulated time; this module explains the simulator itself.  A
-:class:`ProfiledEnvironment` counts events dispatched, heap pushes and
-pops, bulk timeout batches, and fair-share refills, and attributes the
+simulated time; this module explains the simulator itself.  An
+:class:`EngineProfiler` counts events dispatched, heap pushes and pops,
+bulk timeout batches, and fair-share refills, and attributes the
 wall-clock time spent inside event callbacks to the *simulation code
 site* that consumed it (the process generator a ``Process._resume``
 drives, or the function a raw callback points at).
 
-Opt-in and zero-overhead-when-off, by the same construction-time
-class-swap the schedule sanitizer uses: the default ``Environment()``
-hot paths (``_schedule``/``step``/``run``/``timeout_batch``) carry no
-profiler branch at all — ``bench_scaling_10k.py --quick``'s overhead
-guard asserts exactly that.  Profiling swaps in this subclass either
-explicitly (``ProfiledEnvironment()``) or ambiently for scenarios that
-build their environments internally::
+Both observers of the event loop — this profiler and the schedule
+sanitizer (:class:`repro.analysis.sanitizer.Sanitizer`) — ride on one
+:class:`InstrumentedEnvironment`, each an optional collaborator that is
+``None`` when off, so a run can be sanitized and profiled at once.  It
+is opt-in and zero-overhead-when-off by a construction-time class swap:
+the default ``Environment()`` hot paths
+(``_schedule``/``step``/``run``/``timeout_batch``) carry no
+instrumentation branch at all — ``bench_scaling_10k.py --quick``'s
+overhead guard asserts exactly that.  ``Environment(profile=True)``
+profiles one environment; :func:`profiled` reaches the environments
+scenarios build internally::
 
     with profiled() as session:
         result = run_storm(opts)
@@ -30,7 +34,6 @@ from __future__ import annotations
 import heapq
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -38,8 +41,8 @@ from . import engine as _engine
 from .engine import Environment, Event, Process, SimulationError, Timeout
 
 __all__ = [
-    "ProfileOptions",
     "EngineProfiler",
+    "InstrumentedEnvironment",
     "ProfiledEnvironment",
     "ProfileSession",
     "profiled",
@@ -53,18 +56,6 @@ def _relpath(filename: str) -> str:
         return Path(filename).resolve().relative_to(_REPO_ROOT).as_posix()
     except ValueError:
         return filename
-
-
-@dataclass(frozen=True)
-class ProfileOptions:
-    """What to collect.
-
-    ``by_site`` controls per-callback-site wall attribution — the most
-    useful view, but also the most expensive (one ``perf_counter`` pair
-    per callback); turn it off to count events and heap traffic only.
-    """
-
-    by_site: bool = True
 
 
 def _site_of(cb) -> str:
@@ -86,10 +77,9 @@ def _site_of(cb) -> str:
 
 
 class EngineProfiler:
-    """Counters accumulated by one :class:`ProfiledEnvironment`."""
+    """Counters accumulated by one profiled environment."""
 
-    def __init__(self, options: ProfileOptions, initial_time: float = 0.0):
-        self.options = options
+    def __init__(self, initial_time: float = 0.0):
         self.events_dispatched = 0
         self.heap_pushes = 0
         self.heap_pops = 0
@@ -155,51 +145,91 @@ class EngineProfiler:
         return "\n".join(lines)
 
 
-class ProfiledEnvironment(Environment):
-    """An :class:`Environment` whose scheduling and dispatch are counted.
+class InstrumentedEnvironment(Environment):
+    """An :class:`Environment` observed by a sanitizer, a profiler, or both.
 
-    Semantically identical to the base environment — same event order,
-    same sequence numbers, same simulated results — it only adds
-    counters and (optionally) a ``perf_counter`` pair around each
-    callback.  The overhead lives entirely in this subclass; plain
-    environments never pay it.
+    ``sanitizer`` (a :class:`repro.analysis.sanitizer.Sanitizer`) draws
+    the seeded ``(perturbation, seq)`` tie-break key of every heap entry
+    and logs each dispatch with its scheduling stack; ``profiler`` (an
+    :class:`EngineProfiler`) counts heap traffic and times each callback
+    by site.  Each is ``None`` when off.  An explicit ``sanitize=`` or
+    ``profile=True`` turns one on, and so does the session of an
+    enclosing :func:`~repro.analysis.sanitizer.sanitized` or
+    :func:`profiled` block, which the environment joins.  Built with
+    neither — ``ProfiledEnvironment()`` — it profiles.
+
+    Without a sanitizer the event order, sequence numbers and simulated
+    results are those of the base environment.  ``run`` dispatches
+    through ``step``, and ``step`` calls every callback from its own
+    frame: the sanitizer's stack capture drops this module's frames, and
+    ``perfbench/layers.py`` walks up to the ``step`` frame to find the
+    callback it is inside.
     """
 
-    __slots__ = ("profile",)
+    __slots__ = ("sanitizer", "profiler")
 
     def __init__(self, initial_time: float = 0.0, sanitize: Any = None,
-                 profile: Optional[ProfileOptions] = None):
-        options = profile
-        if options is None:
-            options = getattr(_engine, "_AMBIENT_PROFILE", None)
-        if options is None:
-            options = ProfileOptions()
+                 profile: bool = False):
         super().__init__(initial_time)
-        self.profile = EngineProfiler(options, initial_time)
-        session = _ACTIVE_SESSION
-        if session is not None:
-            session.envs.append(self)
+        san_session, prof_session = _engine._AMBIENT
+        if sanitize is None and san_session is not None:
+            sanitize = san_session.options
+        self.sanitizer = None
+        if sanitize is not None:
+            from ..analysis.sanitizer import Sanitizer
 
-    # -- counted scheduling ------------------------------------------------
+            self.sanitizer = Sanitizer(sanitize)
+            if san_session is not None:
+                san_session.envs.append(self)
+        self.profiler = None
+        if profile or prof_session is not None or self.sanitizer is None:
+            self.profiler = EngineProfiler(initial_time)
+            if prof_session is not None:
+                prof_session.envs.append(self)
+
+    # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self.profile.heap_pushes += 1
-        super()._schedule(event, delay)
+        event._scheduled = True
+        if event._cancelled:
+            self._n_cancelled += 1
+        key = next(self._seq)
+        san = self.sanitizer
+        if san is not None:
+            san.scheduled(event, self._active_process)
+            key = san.tiebreak(key)
+        if self.profiler is not None:
+            self.profiler.heap_pushes += 1
+        heapq.heappush(self._queue, (self._now + delay, key, event))
 
     def timeout_batch(self, delays: Iterable[float],
                       value: Any = None) -> list[Timeout]:
-        out = super().timeout_batch(delays, value)
-        self.profile.heap_pushes += len(out)
-        self.profile.timeout_batches += 1
+        if self.sanitizer is None:
+            out = super().timeout_batch(delays, value)
+            pushed = len(out)
+        else:
+            # The base class pushes raw (due, seq, event) entries, but a
+            # sanitized heap needs perturbed keys: create the timeouts one
+            # by one (same semantics and sequence-number order), each
+            # counted by _schedule.
+            out = [Timeout(self, delay, value) for delay in delays]
+            pushed = 0
+        prof = self.profiler
+        if prof is not None:
+            prof.heap_pushes += pushed
+            prof.timeout_batches += 1
         return out
 
-    # -- counted dispatch --------------------------------------------------
+    # -- dispatch ------------------------------------------------------------
     def step(self) -> None:
         if not self._queue:
             raise SimulationError("no more events to step through")
-        prof = self.profile
         when, _, event = heapq.heappop(self._queue)
-        prof.heap_pops += 1
         self._now = when
+        san, prof = self.sanitizer, self.profiler
+        if san is not None:
+            san.dispatched(when, event)
+        if prof is not None:
+            prof.heap_pops += 1
         if event._cancelled:
             self._n_cancelled -= 1
             event._scheduled = False
@@ -207,30 +237,31 @@ class ProfiledEnvironment(Environment):
         callbacks, event.callbacks = event.callbacks, []
         event._scheduled = False
         self.events_dispatched += 1
+        if prof is None:
+            for cb in callbacks:
+                cb(event)
+            return
         prof.events_dispatched += 1
         prof.sim_t1 = when
-        if prof.options.by_site:
-            perf = time.perf_counter
-            by_site = prof.by_site
-            for cb in callbacks:
-                t0 = perf()
-                cb(event)
-                dt = perf() - t0
-                prof.callback_wall_s += dt
-                site = _site_of(cb)
-                stat = by_site.get(site)
-                if stat is None:
-                    by_site[site] = [1, dt]
-                else:
-                    stat[0] += 1
-                    stat[1] += dt
-        else:
-            for cb in callbacks:
-                cb(event)
+        perf = time.perf_counter
+        by_site = prof.by_site
+        for cb in callbacks:
+            t0 = perf()
+            cb(event)
+            dt = perf() - t0
+            prof.callback_wall_s += dt
+            site = _site_of(cb)
+            stat = by_site.get(site)
+            if stat is None:
+                by_site[site] = [1, dt]
+            else:
+                stat[0] += 1
+                stat[1] += dt
 
     def run(self, until: Optional[float | Event] = None) -> Any:
-        # Same semantics as the base loop, routed through the counting
-        # step(); profiled runs trade raw dispatch speed for visibility.
+        # Same semantics as the base loop, routed through the observing
+        # step(); instrumented runs trade raw dispatch speed for
+        # visibility.
         step = self.step
         if isinstance(until, Event):
             stop_event = until
@@ -257,17 +288,21 @@ class ProfiledEnvironment(Environment):
         return None
 
 
+#: The profiler's historical name for the class; ``perfbench/layers.py``
+#: patches ``step`` and ``run`` through it.
+ProfiledEnvironment = InstrumentedEnvironment
+
+
 class ProfileSession:
     """Collects the profilers of every environment built inside a
     :func:`profiled` block (scenarios usually build exactly one)."""
 
-    def __init__(self, options: ProfileOptions):
-        self.options = options
-        self.envs: list[ProfiledEnvironment] = []
+    def __init__(self):
+        self.envs: list[InstrumentedEnvironment] = []
 
     @property
     def profilers(self) -> list[EngineProfiler]:
-        return [env.profile for env in self.envs]
+        return [env.profiler for env in self.envs]
 
     def render(self, top: int = 10) -> str:
         if not self.envs:
@@ -275,28 +310,17 @@ class ProfileSession:
         return "\n".join(p.render(top=top) for p in self.profilers)
 
 
-_ACTIVE_SESSION: Optional[ProfileSession] = None
-
-
 @contextmanager
-def profiled(options: Optional[ProfileOptions] = None):
-    """Ambiently profile every Environment built inside the block.
+def profiled():
+    """Profile every Environment built inside the block.
 
-    Mirrors :func:`repro.analysis.sanitizer.sanitized`: sets the ambient
-    profile option so internally-constructed environments
-    (``build_cluster``, ``run_storm``) come out as
-    :class:`ProfiledEnvironment`, and yields a session holding their
-    profilers.  If an ambient *sanitize* option is also active, the
-    sanitizer wins — its subclass carries the diagnostic machinery.
+    Internally constructed environments (``build_cluster``,
+    ``run_storm``) come out instrumented with an :class:`EngineProfiler`,
+    and the yielded session holds them.  Nests with
+    :func:`repro.analysis.sanitizer.sanitized` in either order: an
+    environment built inside both is sanitized *and* profiled, and both
+    sessions see it.
     """
-    global _ACTIVE_SESSION
-    opts = options or ProfileOptions()
-    session = ProfileSession(opts)
-    prev_option = _engine.set_ambient_profile(opts)
-    prev_session = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
-    try:
+    session = ProfileSession()
+    with _engine.ambient(profiler=session):
         yield session
-    finally:
-        _ACTIVE_SESSION = prev_session
-        _engine.set_ambient_profile(prev_option)

@@ -260,14 +260,14 @@ class ServiceSupervisor:
         return self._report
 
 
-def supervise_frontend(frontend, policy=None, monitor=None) -> ServiceSupervisor:
+def supervise_frontend(frontend, policy=None) -> ServiceSupervisor:
     """Wire a supervisor over a frontend's critical services.
 
-    Registers dhcpd, the install httpd and nfsd (plus an optional
-    cluster monitor) with a shared pre-restart hook: if the frontend's
-    database was lost in a crash and a journal is attached, the first
-    service revival replays it — so dhcpd comes back with correct
-    bindings instead of an empty host table.
+    Registers dhcpd, the install httpd and nfsd with a shared
+    pre-restart hook: if the frontend's database was lost in a crash and
+    a journal is attached, the first service revival replays it — so
+    dhcpd comes back with correct bindings instead of an empty host
+    table.
     """
 
     def recover_first(_service) -> None:
@@ -278,7 +278,5 @@ def supervise_frontend(frontend, policy=None, monitor=None) -> ServiceSupervisor
     supervisor.register("dhcpd", frontend.dhcp, on_restart=recover_first)
     supervisor.register("httpd", frontend.install_server, on_restart=recover_first)
     supervisor.register("nfs", frontend.nfs, on_restart=recover_first)
-    if monitor is not None:
-        supervisor.register("cluster-monitor", monitor, on_restart=recover_first)
     supervisor.start()
     return supervisor

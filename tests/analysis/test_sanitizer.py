@@ -7,12 +7,12 @@ import pytest
 
 from repro.analysis.sanitizer import (
     SanitizeOptions,
-    SanitizedEnvironment,
     diagnose_divergence,
     run_scenario,
     sanitized,
 )
 from repro.netsim.engine import Environment, Event, SimulationError
+from repro.netsim.profiler import InstrumentedEnvironment
 
 
 # -- the planted race: the positive control ------------------------------------
@@ -68,8 +68,9 @@ def test_default_environment_is_untouched():
 
 def test_explicit_sanitize_swaps_class():
     env = Environment(sanitize=SanitizeOptions(seed=3))
-    assert type(env) is SanitizedEnvironment
-    assert env.options.seed == 3
+    assert type(env) is InstrumentedEnvironment
+    assert env.sanitizer.options.seed == 3
+    assert env.profiler is None  # sanitizing alone does not profile
 
 
 def test_ambient_sanitize_reaches_nested_constructors():
@@ -78,7 +79,8 @@ def test_ambient_sanitize_reaches_nested_constructors():
 
     with sanitized(SanitizeOptions(seed=5)) as session:
         env = build()
-    assert type(env) is SanitizedEnvironment
+    assert type(env) is InstrumentedEnvironment
+    assert env.sanitizer.options.seed == 5
     assert session.envs == [env]
     assert type(build()) is Environment  # restored on exit
 
@@ -145,9 +147,9 @@ def test_dispatch_log_records_labels_and_sites():
 
     env.process(proc(), name="solo")
     env.run()
-    labels = [r.label for r in env.dispatch_log]
+    labels = [r.label for r in env.sanitizer.dispatch_log]
     assert any("Timeout" in lb and "solo" in lb for lb in labels)
-    assert all(r.site for r in env.dispatch_log)
+    assert all(r.site for r in env.sanitizer.dispatch_log)
 
 
 # -- runtime traps --------------------------------------------------------------

@@ -6,7 +6,6 @@ from repro import build_cluster
 from repro.cluster import MachineState
 from repro.monitoring import (
     MetricAgent,
-    MonitoringOptions,
     enable_cluster_monitoring,
 )
 
@@ -109,18 +108,6 @@ def test_dead_gmetad_drops_packets(stack3):
     assert agg.packets_received > received
 
 
-def test_legacy_cluster_monitor_is_agent_fed(stack3):
-    sim, stack = stack3
-    monitor = stack.cluster_monitor
-    assert monitor is not None
-    assert monitor.source is stack.aggregator
-    snap = monitor.snapshot()
-    assert set(snap) == set(stack.aggregator.snapshot())
-    assert snap["compute-0-0"].state == "up"
-    assert monitor.heartbeats_received == stack.aggregator.packets_received
-    assert monitor.down_hosts() == []
-
-
 def test_legacy_monitor_flags_never_heartbeated_host():
     """Regression: an expected host that dies before its first packet."""
     sim = build_cluster(n_compute=2)
@@ -128,24 +115,11 @@ def test_legacy_monitor_flags_never_heartbeated_host():
     sim.nodes[1].power_off()  # down before monitoring even starts
     stack = enable_cluster_monitoring(sim.frontend, sim.nodes)
     sim.env.run(until=sim.env.now + 60)
-    assert stack.aggregator.age("compute-0-1") == float("inf")
-    assert "compute-0-1" in stack.aggregator.down_hosts()
-    # the agent-fed legacy monitor agrees — no daemons were spawned
-    monitor = stack.cluster_monitor
-    assert monitor.age("compute-0-1") == float("inf")
-    assert "compute-0-1" in monitor.down_hosts()
-    assert "compute-0-0" in monitor.up_hosts()
-
-
-def test_options_disable_legacy_monitor():
-    sim = build_cluster(n_compute=1)
-    sim.integrate_all()
-    stack = enable_cluster_monitoring(
-        sim.frontend, sim.nodes, MonitoringOptions(legacy_monitor=False)
-    )
-    assert stack.cluster_monitor is None
-    sim.env.run(until=sim.env.now + 30)
-    assert stack.aggregator.packets_received > 0
+    agg = stack.aggregator
+    assert agg.age("compute-0-1") == float("inf")
+    assert "compute-0-1" in agg.down_hosts()
+    assert "compute-0-1" not in agg.up_hosts()
+    assert "compute-0-0" in agg.up_hosts()
 
 
 def test_cluster_top_and_xml_render(stack3):

@@ -1,104 +1,95 @@
-"""Tests for the Ganglia-style cluster monitor."""
+"""Node heartbeat monitoring on the frontend: the gmetad aggregator's
+up/down view, the one source of shoot-node candidates."""
 
 import pytest
 
 from repro import build_cluster
 from repro.cluster import MachineState
-from repro.services import (
-    ClusterMonitor,
-    HeartbeatMetrics,
-    MonitorDaemon,
-    enable_monitoring,
-)
+from repro.monitoring import enable_cluster_monitoring, render_cluster_top
 
 
 @pytest.fixture
 def monitored():
     sim = build_cluster(n_compute=3)
     sim.integrate_all()
-    monitor = enable_monitoring(
-        sim.env, [sim.frontend.machine] + sim.nodes, heartbeat_seconds=10
-    )
+    stack = enable_cluster_monitoring(sim.frontend, sim.nodes)
     sim.env.run(until=sim.env.now + 30)
-    return sim, monitor
+    return sim, stack.aggregator
 
 
 def test_heartbeats_flow_from_up_nodes(monitored):
-    sim, monitor = monitored
-    snap = monitor.snapshot()
+    sim, agg = monitored
+    snap = agg.snapshot()
     assert set(snap) == {"frontend-0", "compute-0-0", "compute-0-1", "compute-0-2"}
-    assert monitor.heartbeats_received >= 8
-    for m in snap.values():
-        assert m.state == "up"
-        assert m.packages > 100
+    assert agg.packets_received >= 4
+    for packet in snap.values():
+        assert packet.label("state") == "up"
+        assert packet.metric("packages") > 100
 
 
 def test_metrics_carry_load(monitored):
-    sim, monitor = monitored
+    sim, agg = monitored
     sim.nodes[0].user_processes.extend(["gamess", "gamess"])
-    sim.env.run(until=sim.env.now + 15)
-    assert monitor.snapshot()["compute-0-0"].load == 2
+    sim.env.run(until=sim.env.now + 20)
+    assert agg.last_packet("compute-0-0").metric("load") == 2
 
 
 def test_down_node_detected_by_stale_heartbeat(monitored):
-    sim, monitor = monitored
-    assert monitor.down_hosts() == []
+    sim, agg = monitored
+    assert agg.down_hosts() == []
     sim.nodes[1].power_off()
     sim.env.run(until=sim.env.now + 60)
-    assert monitor.down_hosts() == ["compute-0-1"]
-    assert "compute-0-1" not in monitor.up_hosts()
+    assert agg.down_hosts() == ["compute-0-1"]
+    assert "compute-0-1" not in agg.up_hosts()
     # recovery: power back on (hard cycle forced a reinstall) and heartbeat resumes
     sim.nodes[1].power_on()
     sim.env.run(until=sim.nodes[1].wait_for_state(MachineState.UP))
     sim.env.run(until=sim.env.now + 20)
-    assert monitor.down_hosts() == []
+    assert agg.down_hosts() == []
+    assert "compute-0-1" in agg.up_hosts()
 
 
 def test_reinstalling_node_goes_quiet_then_returns(monitored):
-    sim, monitor = monitored
+    sim, agg = monitored
     node = sim.nodes[2]
     node.request_reinstall()
-    sim.env.run(until=sim.env.now + 120)  # mid-install
-    assert "compute-0-2" in monitor.down_hosts()
+    sim.env.run(until=sim.env.now + 60)  # rebooting: no NIC, no gmond
+    assert node.state is MachineState.POST
+    assert "compute-0-2" in agg.down_hosts()
     sim.env.run(until=node.wait_for_state(MachineState.UP))
     sim.env.run(until=sim.env.now + 20)
-    assert monitor.snapshot()["compute-0-2"].install_count == 2
+    assert "compute-0-2" in agg.up_hosts()
+    assert agg.last_packet("compute-0-2").metric("installs") == 2
 
 
 def test_report_is_tabular(monitored):
-    _, monitor = monitored
-    report = monitor.report()
-    assert report.splitlines()[0].startswith("host")
+    _, agg = monitored
+    report = render_cluster_top(agg)
+    assert report.splitlines()[1].startswith("host")
     assert "compute-0-0" in report
 
 
 def test_stopped_monitor_drops_heartbeats(monitored):
-    sim, monitor = monitored
-    monitor.stop()
-    before = monitor.heartbeats_received
+    sim, agg = monitored
+    agg.stop()
+    before = agg.packets_received
     sim.env.run(until=sim.env.now + 50)
-    assert monitor.heartbeats_received == before
+    assert agg.packets_received == before
 
 
-def test_age_unseen_host_is_inf():
-    from repro.netsim import Environment
-
-    monitor = ClusterMonitor(Environment())
-    assert monitor.age("ghost") == float("inf")
+def test_age_unseen_host_is_inf(monitored):
+    _, agg = monitored
+    assert agg.age("ghost") == float("inf")
 
 
-def test_expected_host_that_never_heartbeats_reports_down():
+def test_expected_host_that_never_heartbeats_reports_down(monitored):
     """A host that dies before its first heartbeat must not be invisible."""
-    from repro.netsim import Environment
-
-    env = Environment()
-    monitor = ClusterMonitor(env)
-    monitor.expect("compute-0-9")
-    env.run(until=100.0)
-    assert monitor.down_hosts() == ["compute-0-9"]
-    assert "compute-0-9" not in monitor.up_hosts()
-    report = monitor.report()
-    assert "compute-0-9" in report and "no-contact" in report
+    sim, agg = monitored
+    agg.expect("compute-0-9")
+    sim.env.run(until=sim.env.now + 100)
+    assert agg.down_hosts() == ["compute-0-9"]
+    assert "compute-0-9" not in agg.up_hosts()
+    assert agg.last_packet("compute-0-9") is None
 
 
 def test_enable_monitoring_expects_every_machine():
@@ -106,28 +97,10 @@ def test_enable_monitoring_expects_every_machine():
     sim = build_cluster(n_compute=2)
     sim.integrate_all()
     sim.nodes[0].power_off()
-    monitor = enable_monitoring(sim.env, sim.nodes, heartbeat_seconds=10)
-    sim.env.run(until=sim.env.now + 40)
-    assert monitor.heartbeats_received > 0  # the live node is beating
-    assert sim.nodes[0].hostid in monitor.down_hosts()
-    assert monitor.snapshot().get(sim.nodes[0].hostid) is None
-
-
-def test_metrics_name_deprecated_but_still_importable():
-    """`Metrics` collided with repro.telemetry.metrics.Metrics (the
-    counter store); the old name warns and resolves to HeartbeatMetrics."""
-    from repro import services
-    from repro.services import monitor
-
-    with pytest.warns(DeprecationWarning, match="HeartbeatMetrics"):
-        assert monitor.Metrics is HeartbeatMetrics
-    with pytest.warns(DeprecationWarning):
-        assert services.Metrics is HeartbeatMetrics
-    assert "Metrics" not in services.__all__
-    assert "HeartbeatMetrics" in services.__all__
-
-
-def test_telemetry_metrics_is_a_different_class():
-    from repro.telemetry.metrics import Metrics as CounterStore
-
-    assert CounterStore is not HeartbeatMetrics
+    agg = enable_cluster_monitoring(sim.frontend, sim.nodes).aggregator
+    sim.env.run(until=sim.env.now + 60)
+    assert agg.packets_received > 0  # the live nodes are beating
+    assert agg.age(sim.nodes[0].hostid) == float("inf")
+    assert sim.nodes[0].hostid in agg.down_hosts()
+    assert sim.nodes[1].hostid in agg.up_hosts()
+    assert agg.snapshot().get(sim.nodes[0].hostid) is None
