@@ -1,4 +1,4 @@
-"""Project-wide dataflow determinism passes (RK3xx): ``repro lint --deep``.
+"""The dataflow determinism passes (RK3xx) of ``repro lint --self``.
 
 The RK2xx self-linter is deliberately syntax-local: each pass looks at
 one file's AST and flags one statement shape.  That was enough for the
@@ -8,20 +8,18 @@ snapshot of it — is *dataflow*-shaped: the hazard spans an assignment,
 a suspension point, and a later use, and whether an unseeded RNG
 matters depends on where its value ends up, not where it is built.
 
-This module builds the project-wide infrastructure those checks need:
-
-* a **symbol table** over ``src/repro`` — every module, class, function
-  and method with a stable qualified name;
-* a **call graph** resolved heuristically from imports (absolute and
-  relative), module-level names, and ``self.method`` dispatch;
-
-and feeds it to the RK3xx pass family:
+These passes use the project-wide symbol table and call graph that
+:class:`~repro.analysis.selfcheck.SelfLintContext` builds from its one
+parse of ``src/repro`` (every module, class, function and method with a
+stable qualified name; call edges resolved from imports, module-level
+names and ``self.method`` dispatch):
 
 * **RK301 — unseeded-RNG taint**: a ``random.Random()`` constructed
-  without a seed argument inside simulation code, or flowing into it
-  through the call graph.  Hash-seed jitter in disguise: every draw from
-  it differs run to run.  The diagnostic carries the call chain from the
-  nearest simulation entry point to the construction site.
+  without a seed argument (or with ``None``, which also seeds from OS
+  entropy) inside simulation code, or flowing into it through the call
+  graph.  Hash-seed jitter in disguise: every draw from it differs run
+  to run.  The diagnostic carries the call chain from the nearest
+  simulation entry point to the construction site.
 * **RK302 — yield-straddling staleness**: a local snapshot of shared
   mutable state (``list(self.flows)``, ``x.members.copy()``, …) captured
   before a ``yield`` and read after it.  While the generator was
@@ -37,43 +35,26 @@ and feeds it to the RK3xx pass family:
   Float addition is not associative; summing in hash order makes the
   low bits of every derived rate and timestamp hash-seed-dependent.
 
-All four run behind ``repro lint --deep`` against the same baseline and
-renderers as every other family, and their JSON output is byte-identical
-across ``PYTHONHASHSEED`` values.
+They register in ``SELF_PASSES`` beside the RK2xx passes, run through
+:func:`~repro.analysis.selfcheck.analyze_self` against the same
+baseline and renderers, and their JSON output is byte-identical across
+``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from .diagnostics import Diagnostic, SourceLocation, code_info
-from .passes import DEEP_PASSES, register_deep, run_passes
-
-__all__ = [
-    "DeepContext",
-    "FunctionInfo",
-    "analyze_deep",
-    "default_deep_context",
-]
-
-#: top-level package name of everything we index
-_PKG = "repro"
-
-#: packages whose code runs under (or drives) the DES — an unseeded RNG
-#: reaching any of these is a determinism hazard.  Everything except the
-#: analyzers themselves, in practice.
-_SIM_PACKAGES = frozenset({
-    "netsim", "installer", "services", "faults", "load", "monitoring",
-    "exec", "resilience", "scheduler", "cluster", "core", "rpm",
-    "telemetry", "kernel", "quickbuild", "cli", "__init__", "__main__",
-})
-
-#: packages where float accumulation order reaches rates/timestamps
-_HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
+from .passes import register_self
+from .selfcheck import (
+    ModuleInfo,
+    SelfLintContext,
+    is_unordered,
+    scope_walk,
+    set_names,
+)
 
 #: names that evidence a bound on a polling loop (deadline, budget, …)
 _BOUND_NAME_RE = re.compile(
@@ -87,268 +68,12 @@ _SNAPSHOT_FUNCS = frozenset({
 })
 
 
-@dataclass
-class FunctionInfo:
-    """One function or method in the project symbol table."""
-
-    qualname: str                 # repro.netsim.flows.FlowNetwork._fill
-    module: str                   # repro.netsim.flows
-    rel: str                      # src/repro/netsim/flows.py
-    node: ast.AST                 # FunctionDef / AsyncFunctionDef / Module
-    cls: Optional[str] = None     # enclosing class name, if a method
-    is_generator: bool = False
-    #: resolved callee qualnames (call-graph edges out of this function)
-    calls: list[str] = field(default_factory=list)
-
-
-@dataclass
-class _ModuleInfo:
-    module: str                   # dotted name
-    rel: str
-    tree: ast.Module
-    #: local binding -> dotted module it names (``import repro.x as y``,
-    #: ``from . import engine``)
-    module_names: dict[str, str] = field(default_factory=dict)
-    #: local binding -> (dotted module, original name) for from-imports
-    from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
-    #: names bound to the stdlib ``random`` module in this file
-    random_names: set[str] = field(default_factory=set)
-
-
-class DeepContext:
-    """Symbol table + call graph over one package tree.
-
-    Construction parses every file; the table and graph are built once
-    and shared by all passes.  Iteration everywhere is over sorted file
-    lists and insertion-ordered dicts, so diagnostics come out in the
-    same order on every run regardless of hash seeding.
-    """
-
-    def __init__(self, package_root: Path, repo_root: Path,
-                 hot_paths: tuple[str, ...] = _HOT_PACKAGES):
-        self.package_root = package_root
-        self.repo_root = repo_root
-        self.hot_paths = hot_paths
-        self.modules: dict[str, _ModuleInfo] = {}
-        #: qualname -> FunctionInfo, insertion-ordered by (file, lineno)
-        self.functions: dict[str, FunctionInfo] = {}
-        #: module -> {top-level function name -> qualname}
-        self._module_funcs: dict[str, dict[str, str]] = {}
-        #: (module, class) -> {method name -> qualname}
-        self._class_methods: dict[tuple[str, str], dict[str, str]] = {}
-        self._build()
-        self._resolve_calls()
-
-    # -- construction ------------------------------------------------------
-    def _module_name(self, path: Path) -> str:
-        rel = path.relative_to(self.package_root).with_suffix("")
-        parts = (_PKG,) + rel.parts
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        return ".".join(parts)
-
-    def _build(self) -> None:
-        for path in sorted(self.package_root.rglob("*.py")):
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"),
-                                 filename=str(path))
-            except SyntaxError:
-                continue  # the test suite owns syntax errors
-            module = self._module_name(path)
-            rel = path.relative_to(self.repo_root).as_posix()
-            mi = _ModuleInfo(module=module, rel=rel, tree=tree)
-            self._scan_imports(mi)
-            self.modules[module] = mi
-            self._index_module(mi)
-
-    def _scan_imports(self, mi: _ModuleInfo) -> None:
-        pkg_parts = mi.module.split(".")
-        for node in ast.walk(mi.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "random":
-                        mi.random_names.add(bound)
-                    elif alias.name.split(".")[0] == _PKG:
-                        mi.module_names[bound] = (
-                            alias.name if alias.asname else alias.name.split(".")[0]
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    # relative import: resolve against this module's package
-                    base = pkg_parts[: len(pkg_parts) - node.level]
-                    origin = ".".join(base + ([node.module] if node.module else []))
-                else:
-                    origin = node.module or ""
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if origin == "random":
-                        mi.from_imports[bound] = (origin, alias.name)
-                    elif origin.split(".")[0] == _PKG or node.level:
-                        # `from . import engine` binds a submodule name
-                        sub = f"{origin}.{alias.name}"
-                        if sub in self.modules or True:
-                            mi.module_names.setdefault(bound, sub)
-                        mi.from_imports[bound] = (origin, alias.name)
-
-    def _index_module(self, mi: _ModuleInfo) -> None:
-        funcs = self._module_funcs.setdefault(mi.module, {})
-        # module body is itself a callable scope for taint purposes
-        mod_info = FunctionInfo(
-            qualname=f"{mi.module}.<module>", module=mi.module,
-            rel=mi.rel, node=mi.tree,
-        )
-        self.functions[mod_info.qualname] = mod_info
-
-        def index(node: ast.AST, cls: Optional[str]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.ClassDef):
-                    index(child, child.name)
-                elif isinstance(child,
-                                (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if cls is None:
-                        qual = f"{mi.module}.{child.name}"
-                        funcs[child.name] = qual
-                    else:
-                        qual = f"{mi.module}.{cls}.{child.name}"
-                        self._class_methods.setdefault(
-                            (mi.module, cls), {})[child.name] = qual
-                    self.functions[qual] = FunctionInfo(
-                        qualname=qual, module=mi.module, rel=mi.rel,
-                        node=child, cls=cls,
-                        is_generator=_is_generator(child),
-                    )
-                    index(child, cls)  # nested defs keep the class scope
-
-        index(mi.tree, None)
-
-    # -- call-graph resolution ---------------------------------------------
-    def _resolve_calls(self) -> None:
-        for info in self.functions.values():
-            mi = self.modules[info.module]
-            seen: dict[str, None] = {}
-            for node in _scope_walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                target = self._resolve_call(node.func, info, mi)
-                if target is not None and target != info.qualname:
-                    seen[target] = None
-            info.calls = list(seen)
-
-    def _resolve_call(self, func: ast.expr, info: FunctionInfo,
-                      mi: _ModuleInfo) -> Optional[str]:
-        if isinstance(func, ast.Name):
-            local = self._module_funcs.get(info.module, {})
-            if func.id in local:
-                return local[func.id]
-            origin = mi.from_imports.get(func.id)
-            if origin is not None and origin[0].split(".")[0] == _PKG:
-                return f"{origin[0]}.{origin[1]}"
-            return None
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name):
-                if base.id == "self" and info.cls is not None:
-                    methods = self._class_methods.get(
-                        (info.module, info.cls), {})
-                    return methods.get(func.attr)
-                mod = mi.module_names.get(base.id)
-                if mod is not None:
-                    return f"{mod}.{func.attr}"
-        return None
-
-    # -- queries -------------------------------------------------------------
-    def is_sim(self, info: FunctionInfo) -> bool:
-        """Does this function live in code that runs under the DES?"""
-        tail = info.module.split(".", 1)
-        sub = tail[1].split(".")[0] if len(tail) > 1 else "__init__"
-        return sub in _SIM_PACKAGES
-
-    def sim_chain(self, qualname: str) -> Optional[list[str]]:
-        """Shortest caller chain from simulation code down to ``qualname``.
-
-        Returns ``[sim_entry, ..., qualname]`` or None when nothing in a
-        simulation package (transitively) calls it.  A qualname already
-        in simulation code is its own one-element chain.
-        """
-        info = self.functions.get(qualname)
-        if info is not None and self.is_sim(info):
-            return [qualname]
-        # reverse-BFS: walk callers until one lives in a sim package
-        callers: dict[str, list[str]] = {}
-        for src in self.functions.values():
-            for dst in src.calls:
-                callers.setdefault(dst, []).append(src.qualname)
-        frontier = [[qualname]]
-        visited = {qualname}
-        while frontier:
-            nxt: list[list[str]] = []
-            for chain in frontier:
-                for caller in callers.get(chain[0], []):
-                    if caller in visited:
-                        continue
-                    visited.add(caller)
-                    new = [caller] + chain
-                    caller_info = self.functions.get(caller)
-                    if caller_info is not None and self.is_sim(caller_info):
-                        return new
-                    nxt.append(new)
-            frontier = nxt
-        return None
-
-    def is_hot(self, info: FunctionInfo) -> bool:
-        tail = info.module.split(".", 1)
-        sub = tail[1].split(".")[0] if len(tail) > 1 else ""
-        return sub in self.hot_paths
-
-    def diag(self, code: str, message: str, info: FunctionInfo,
-             node: ast.AST, hint: str = "", **data) -> Diagnostic:
-        return Diagnostic(
-            code=code,
-            severity=code_info(code).severity,
-            message=message,
-            location=SourceLocation(
-                info.rel, getattr(node, "lineno", 0),
-                getattr(node, "col_offset", -1) + 1,
-            ),
-            hint=hint,
-            data=data,
-        )
-
-
-def _is_generator(fn: ast.AST) -> bool:
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in _scope_walk(fn))
-
-
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs/classes."""
-    stack = list(getattr(scope, "body", []))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def default_deep_context() -> DeepContext:
-    package_root = Path(__file__).resolve().parents[1]   # .../src/repro
-    repo_root = package_root.parents[1]
-    return DeepContext(package_root=package_root, repo_root=repo_root)
-
-
-def analyze_deep(ctx: DeepContext, select=None, ignore=None):
-    """Run every RK3xx pass; deterministic, sorted diagnostics."""
-    return run_passes(DEEP_PASSES, ctx, select=select, ignore=ignore)
-
-
 # -- RK301: unseeded-RNG taint ---------------------------------------------------
 
 
-def _is_unseeded_random(node: ast.Call, mi: _ModuleInfo) -> bool:
-    """``random.Random()`` / imported ``Random()`` with no seed argument."""
+def _is_unseeded_random(node: ast.Call, mi: ModuleInfo) -> bool:
+    """``random.Random()`` / imported ``Random()`` with no seed argument,
+    or with a literal ``None`` seed (which also seeds from OS entropy)."""
     func = node.func
     named = False
     if (isinstance(func, ast.Attribute) and func.attr == "Random"
@@ -360,13 +85,14 @@ def _is_unseeded_random(node: ast.Call, mi: _ModuleInfo) -> bool:
         named = origin == ("random", "Random")
     if not named:
         return False
-    if node.args:
-        return False
-    return not any(kw.arg in ("x", "seed") for kw in node.keywords)
+    seeds = node.args[:1] or [kw.value for kw in node.keywords
+                              if kw.arg in ("x", "seed")]
+    return not seeds or (isinstance(seeds[0], ast.Constant)
+                         and seeds[0].value is None)
 
 
-@register_deep("RK301")
-def check_unseeded_rng_taint(ctx: DeepContext):
+@register_self("RK301")
+def check_unseeded_rng_taint(ctx: SelfLintContext):
     """An unseeded ``random.Random()`` is hash-seed jitter with a handle.
 
     ``random.Random()`` with no seed initialises from OS entropy: every
@@ -377,11 +103,10 @@ def check_unseeded_rng_taint(ctx: DeepContext):
     chain from the nearest simulation entry point.
     """
     for info in ctx.functions.values():
-        mi = ctx.modules[info.module]
-        for node in _scope_walk(info.node):
+        for node in scope_walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
-            if not _is_unseeded_random(node, mi):
+            if not _is_unseeded_random(node, info.mi):
                 continue
             chain = ctx.sim_chain(info.qualname)
             if chain is None:
@@ -391,7 +116,7 @@ def check_unseeded_rng_taint(ctx: DeepContext):
                 "random.Random() constructed without a seed "
                 + ("in simulation code" if len(chain) == 1 else
                    f"flows into simulation code via {chain[0]}"),
-                info, node,
+                info.mi, node,
                 hint="pass an explicit seed (derive it from the scenario "
                      "seed) so every draw replays byte-identically",
                 chain=chain,
@@ -423,8 +148,8 @@ def _is_shared_snapshot(value: ast.expr) -> Optional[str]:
     return None
 
 
-@register_deep("RK302")
-def check_yield_straddle(ctx: DeepContext):
+@register_self("RK302")
+def check_yield_straddle(ctx: SelfLintContext):
     """The PR 7 stale-active bug class, mechanically.
 
     A generator that snapshots shared mutable state, suspends at a
@@ -435,13 +160,11 @@ def check_yield_straddle(ctx: DeepContext):
     member against the live structure (the PR 7 fix).
     """
     for info in ctx.functions.values():
-        if not info.is_generator:
-            continue
-        yields = sorted(n.lineno for n in _scope_walk(info.node)
+        yields = sorted(n.lineno for n in scope_walk(info.node)
                         if isinstance(n, (ast.Yield, ast.YieldFrom)))
         if not yields:
             continue
-        for node in _scope_walk(info.node):
+        for node in scope_walk(info.node):
             if not isinstance(node, ast.Assign):
                 continue
             snap = _is_shared_snapshot(node.value)
@@ -452,7 +175,7 @@ def check_yield_straddle(ctx: DeepContext):
                 continue
             name = names[0]
             uses = sorted(
-                n.lineno for n in _scope_walk(info.node)
+                n.lineno for n in scope_walk(info.node)
                 if isinstance(n, ast.Name) and n.id == name
                 and isinstance(n.ctx, ast.Load)
             )
@@ -465,7 +188,7 @@ def check_yield_straddle(ctx: DeepContext):
                     "RK302",
                     f"snapshot {name!r} = {snap} is captured before a "
                     f"yield and read at line {straddling[0]} after it",
-                    info, node,
+                    info.mi, node,
                     hint="re-derive the snapshot after the yield, or "
                          "re-check each member against the live "
                          "structure before acting on it",
@@ -486,8 +209,8 @@ def _is_sleep_yield(stmt: ast.AST) -> bool:
             and val.func.attr in ("timeout", "slotted_timeout"))
 
 
-@register_deep("RK303")
-def check_unbounded_wait_loops(ctx: DeepContext):
+@register_self("RK303")
+def check_unbounded_wait_loops(ctx: SelfLintContext):
     """A pure sleep-poll loop with no bound can spin forever.
 
     The shape is ``while <condition>: yield env.timeout(t)`` (the body
@@ -498,7 +221,7 @@ def check_unbounded_wait_loops(ctx: DeepContext):
     loops that do real work per tick (service loops), are exempt.
     """
     for info in ctx.functions.values():
-        for node in _scope_walk(info.node):
+        for node in scope_walk(info.node):
             if not isinstance(node, ast.While):
                 continue
             if isinstance(node.test, ast.Constant):
@@ -515,7 +238,7 @@ def check_unbounded_wait_loops(ctx: DeepContext):
                 "RK303",
                 f"polling wait loop on {cond_text!r} sleeps with no "
                 f"deadline or attempt bound",
-                info, node,
+                info.mi, node,
                 hint="wait on the event itself (or AnyOf(event, "
                      "env.timeout(deadline))) so a wedged condition "
                      "fails loudly instead of spinning forever",
@@ -526,43 +249,8 @@ def check_unbounded_wait_loops(ctx: DeepContext):
 # -- RK304: order-sensitive float accumulation ------------------------------------
 
 
-def _set_names_in_scope(scope: ast.AST) -> set[str]:
-    names: set[str] = set()
-    for node in _scope_walk(scope):
-        value = None
-        if isinstance(node, ast.Assign):
-            value = node.value
-            targets = [t for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                            ast.Name):
-            value = node.value
-            targets = [node.target]
-        else:
-            continue
-        if value is None:
-            continue
-        is_set = isinstance(value, (ast.Set, ast.SetComp)) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("set", "frozenset")
-        )
-        if is_set:
-            names.update(t.id for t in targets)
-    return names
-
-
-def _is_unordered_iterable(node: ast.expr, set_names: set[str]) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset"))
-
-
-@register_deep("RK304")
-def check_float_accumulation_order(ctx: DeepContext):
+@register_self("RK304")
+def check_float_accumulation_order(ctx: SelfLintContext):
     """Summing floats in hash order makes the low bits seed-dependent.
 
     ``sum()`` over a set (directly, or through a comprehension iterating
@@ -573,19 +261,19 @@ def check_float_accumulation_order(ctx: DeepContext):
     that is where float totals reach rates, etas and telemetry.
     """
     for info in ctx.functions.values():
-        if not ctx.is_hot(info):
+        if not ctx.is_hot(info.mi):
             continue
-        set_names = _set_names_in_scope(info.node)
-        for node in _scope_walk(info.node):
+        names = set_names(info.node)
+        for node in scope_walk(info.node):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "sum" and node.args):
                 arg = node.args[0]
-                unordered = _is_unordered_iterable(arg, set_names)
+                unordered = is_unordered(arg, names)
                 if not unordered and isinstance(
                         arg, (ast.GeneratorExp, ast.ListComp)):
                     unordered = any(
-                        _is_unordered_iterable(gen.iter, set_names)
+                        is_unordered(gen.iter, names)
                         for gen in arg.generators
                     )
                 if unordered:
@@ -593,14 +281,14 @@ def check_float_accumulation_order(ctx: DeepContext):
                         "RK304",
                         f"sum() over unordered iterable "
                         f"{ast.unparse(arg)!r} in a hot path",
-                        info, node,
+                        info.mi, node,
                         hint="accumulate over an insertion-ordered dict "
                              "or sorted(...) so the float total is "
                              "identical on every run",
                         expr=ast.unparse(arg),
                     )
-            elif isinstance(node, ast.For) and _is_unordered_iterable(
-                    node.iter, set_names):
+            elif isinstance(node, ast.For) and is_unordered(
+                    node.iter, names):
                 for stmt in ast.walk(node):
                     if isinstance(stmt, ast.AugAssign) and isinstance(
                             stmt.op, ast.Add):
@@ -609,7 +297,7 @@ def check_float_accumulation_order(ctx: DeepContext):
                             f"'+=' accumulation under iteration over "
                             f"unordered {ast.unparse(node.iter)!r} in a "
                             f"hot path",
-                            info, stmt,
+                            info.mi, stmt,
                             hint="iterate an insertion-ordered dict or "
                                  "sorted(...) when accumulating floats",
                             expr=ast.unparse(node.iter),

@@ -171,7 +171,7 @@ CODES: dict[str, CodeInfo] = {
         CodeInfo("RK208", Severity.WARNING,
                  "span opened without a parent= in instrumented simulation "
                  "code (breaks causal attribution)"),
-        # -- dataflow determinism passes (RK30x, `repro lint --deep`) ------
+        # -- dataflow determinism passes (RK30x, `repro lint --self`) ------
         CodeInfo("RK301", Severity.ERROR,
                  "random.Random() constructed without a seed flows into "
                  "simulation code"),

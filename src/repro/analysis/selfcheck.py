@@ -1,12 +1,17 @@
-"""The self-hosted determinism linter: AST passes over our own source.
+"""The determinism linter: one parse of our own source, every RK2xx/RK3xx pass.
 
 PRs 1-3 made byte-identical determinism a load-bearing guarantee —
 journal replay, same-seed traces, chaos verdicts all compare runs
-byte-for-byte.  Every determinism bug fixed so far was one of four
-shapes, and each is mechanically detectable in the AST:
+byte-for-byte.  :class:`SelfLintContext` parses each file under
+``src/repro`` once and builds the project-wide symbol table and call
+graph from the same trees.  Every pass in ``SELF_PASSES`` runs over that
+one context through :func:`analyze_self`: the RK3xx dataflow passes in
+:mod:`repro.analysis.deepcheck`, and the syntax-local RK2xx passes
+here, each flagging one statement shape:
 
-* **RK201** — wall-clock reads (``time.time``, ``datetime.now``):
-  simulation code must only read ``env.now``;
+* **RK201** — wall-clock reads (``time.time``, ``datetime.now``), or a
+  wall-clock function bound to a local: simulation code must only read
+  ``env.now``;
 * **RK202** — module-level ``random.*`` calls: the shared global RNG is
   unseeded cross-test state; use a seeded ``random.Random`` instance;
 * **RK203** — ``for``-iteration over a ``set``/``frozenset`` in the
@@ -43,7 +48,7 @@ shapes, and each is mechanically detectable in the AST:
   reinstall, storm, exec fanouts) and spans that parent via the
   ambient context carry baseline entries.
 
-The linter lints itself: ``repro lint --self`` runs these passes over
+The linter lints itself: ``repro lint --self`` runs every pass over
 ``src/repro`` (including this package) against the committed baseline.
 """
 
@@ -52,14 +57,23 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .diagnostics import Diagnostic, SourceLocation, code_info
 from .passes import SELF_PASSES, register_self, run_passes
 
-__all__ = ["SelfLintContext", "analyze_self", "default_self_context"]
+__all__ = [
+    "FunctionInfo",
+    "ModuleInfo",
+    "SelfLintContext",
+    "analyze_self",
+    "default_self_context",
+]
 
+#: top-level package name of everything we index
+_PKG = "repro"
 
 _WALL_TIME_FUNCS = frozenset({
     "time", "time_ns", "perf_counter", "perf_counter_ns",
@@ -74,20 +88,50 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
     "paretovariate", "weibullvariate",
 })
 
+#: packages whose loops and float totals are determinism-critical
+_HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
+
+#: code that runs under (or drives) the DES — an unseeded RNG reaching
+#: any of these is a determinism hazard.  Everything except the
+#: analyzers themselves, in practice.
+_SIM_PACKAGES = (
+    "netsim", "installer", "services", "faults", "load", "monitoring",
+    "exec", "resilience", "scheduler", "cluster", "core", "rpm",
+    "telemetry", "kernel", "quickbuild.py", "cli.py", "__init__.py",
+    "__main__.py",
+)
+
+_FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_DEFS = _FUNCTION_DEFS + (ast.ClassDef,)
+
 
 @dataclass
-class ParsedFile:
-    path: Path       # absolute
-    rel: str         # repo-relative, posix separators
-    tree: ast.AST
+class ModuleInfo:
+    """One parsed file and the names its imports bind."""
+
+    module: str      # repro.netsim.flows
+    rel: str         # src/repro/netsim/flows.py (repo-relative, posix)
+    pkg_rel: str     # netsim/flows.py (package-relative, posix)
+    tree: ast.Module
     #: names bound to the time / datetime / random modules in this file
     time_names: set[str] = field(default_factory=set)
     datetime_names: set[str] = field(default_factory=set)
     random_names: set[str] = field(default_factory=set)
-    #: direct from-imports: local name -> (module, original name)
+    #: local binding -> dotted ``repro`` module it names
+    #: (``import repro.x as y``, ``from . import engine``)
+    module_names: dict[str, str] = field(default_factory=dict)
+    #: every from-import: local name -> (module, original name), with
+    #: relative imports resolved against this module's package
     from_imports: dict[str, tuple[str, str]] = field(default_factory=dict)
 
+    def in_package(self, prefixes: tuple[str, ...]) -> bool:
+        """Is this file under one of ``prefixes`` — package-relative
+        subpackages (``netsim``, ``core/tools``) or files (``cli.py``)?"""
+        return any(self.pkg_rel == p or self.pkg_rel.startswith(p + "/")
+                   for p in prefixes)
+
     def scan_imports(self) -> None:
+        pkg_parts = self.module.split(".")
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -98,53 +142,238 @@ class ParsedFile:
                         self.datetime_names.add(bound)
                     elif alias.name == "random":
                         self.random_names.add(bound)
-            elif isinstance(node, ast.ImportFrom) and node.module:
+                    elif alias.name.split(".")[0] == _PKG:
+                        self.module_names[bound] = (
+                            alias.name if alias.asname else _PKG
+                        )
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    base = pkg_parts[: len(pkg_parts) - node.level]
+                    origin = ".".join(base + ([node.module] if node.module
+                                              else []))
+                else:
+                    origin = node.module or ""
                 for alias in node.names:
                     bound = alias.asname or alias.name
-                    self.from_imports[bound] = (node.module, alias.name)
+                    if node.level or origin.split(".")[0] == _PKG:
+                        # `from . import engine` binds a submodule name
+                        self.module_names.setdefault(
+                            bound, f"{origin}.{alias.name}")
+                    self.from_imports[bound] = (origin, alias.name)
 
 
 @dataclass
+class FunctionInfo:
+    """One function, method or module body in the project symbol table."""
+
+    qualname: str                 # repro.netsim.flows.FlowNetwork._fill
+    mi: ModuleInfo                # the file it is defined in
+    node: ast.AST                 # FunctionDef / AsyncFunctionDef / Module
+    cls: Optional[str] = None     # enclosing class name, if a method
+    #: resolved callee qualnames (call-graph edges out of this function)
+    calls: list[str] = field(default_factory=list)
+
+
+def scope_walk(scope: ast.AST,
+               skip: tuple[type, ...] = _SCOPE_DEFS) -> Iterator[ast.AST]:
+    """Walk the statements ``scope`` owns (its body, and a loop's
+    ``else``) without descending into nested ``skip`` nodes — by
+    default nested functions and classes, which are scopes of their
+    own."""
+    stack = [*getattr(scope, "body", []), *getattr(scope, "orelse", [])]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, skip):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def is_set_expr(node: ast.expr) -> bool:
+    """A set display, set comprehension, or ``set(...)``/``frozenset(...)``."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset"))
+
+
+def set_names(scope: ast.AST,
+              skip: tuple[type, ...] = _SCOPE_DEFS) -> set[str]:
+    """Local names bound to a set expression anywhere in ``scope``."""
+    names: set[str] = set()
+    for node in scope_walk(scope, skip):
+        if isinstance(node, ast.Assign) and is_set_expr(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and node.value is not None
+              and is_set_expr(node.value)
+              and isinstance(node.target, ast.Name)):
+            names.add(node.target.id)
+    return names
+
+
+def is_unordered(node: ast.expr, names: set[str]) -> bool:
+    """A set expression, or a name from :func:`set_names`."""
+    return is_set_expr(node) or (isinstance(node, ast.Name)
+                                 and node.id in names)
+
+
 class SelfLintContext:
-    """What the determinism linter scans."""
+    """What the determinism linter scans: one parse, one symbol table.
 
-    package_root: Path                    # e.g. <repo>/src/repro
-    repo_root: Path                       # paths in diagnostics are relative to this
-    #: package subdirectories whose loops are determinism-critical
-    hot_paths: tuple[str, ...] = (
-        "netsim", "installer", "exec", "load", "monitoring",
-    )
-    _files: Optional[list[ParsedFile]] = None
+    ``files`` parses every ``*.py`` under ``package_root`` once and scans
+    its imports; ``functions`` (the symbol table with call-graph edges)
+    and ``callers`` (the reverse edges) are built from those same trees
+    the first time a pass asks.  Iteration everywhere is over sorted
+    file lists and insertion-ordered dicts, so diagnostics come out in
+    the same order on every run regardless of hash seeding.
+    """
 
-    @property
-    def files(self) -> list[ParsedFile]:
-        if self._files is None:
-            parsed = []
-            for path in sorted(self.package_root.rglob("*.py")):
-                text = path.read_text(encoding="utf-8")
-                try:
-                    tree = ast.parse(text, filename=str(path))
-                except SyntaxError:
-                    continue  # not our job; the test suite will scream
-                rel = path.relative_to(self.repo_root).as_posix()
-                pf = ParsedFile(path=path, rel=rel, tree=tree)
-                pf.scan_imports()
-                parsed.append(pf)
-            self._files = parsed
-        return self._files
+    def __init__(self, package_root: Path, repo_root: Path,
+                 hot_paths: tuple[str, ...] = _HOT_PACKAGES):
+        self.package_root = package_root  # e.g. <repo>/src/repro
+        self.repo_root = repo_root        # diagnostic paths are relative to it
+        self.hot_paths = hot_paths
 
-    def is_hot(self, pf: ParsedFile) -> bool:
-        rel_pkg = pf.path.relative_to(self.package_root)
-        return bool(rel_pkg.parts) and rel_pkg.parts[0] in self.hot_paths
+    @cached_property
+    def files(self) -> list[ModuleInfo]:
+        """Every parseable file, in sorted path order."""
+        parsed = []
+        for path in sorted(self.package_root.rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text(encoding="utf-8"),
+                                 filename=str(path))
+            except SyntaxError:
+                continue  # not our job; the test suite will scream
+            pkg_rel = path.relative_to(self.package_root)
+            parts = (_PKG,) + pkg_rel.with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            mi = ModuleInfo(
+                module=".".join(parts),
+                rel=path.relative_to(self.repo_root).as_posix(),
+                pkg_rel=pkg_rel.as_posix(),
+                tree=tree,
+            )
+            mi.scan_imports()
+            parsed.append(mi)
+        return parsed
 
-    def diag(self, code: str, message: str, pf: ParsedFile,
+    @cached_property
+    def functions(self) -> dict[str, FunctionInfo]:
+        """qualname -> FunctionInfo, ordered by (file, definition), with
+        every function's resolved callees in ``calls``."""
+        functions: dict[str, FunctionInfo] = {}
+        #: module -> {top-level function name -> qualname}
+        module_funcs: dict[str, dict[str, str]] = {}
+        #: (module, class) -> {method name -> qualname}
+        class_methods: dict[tuple[str, str], dict[str, str]] = {}
+
+        def index(mi: ModuleInfo, node: ast.AST, cls: Optional[str]) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    index(mi, child, child.name)
+                elif isinstance(child, _FUNCTION_DEFS):
+                    if cls is None:
+                        qual = f"{mi.module}.{child.name}"
+                        module_funcs[mi.module][child.name] = qual
+                    else:
+                        qual = f"{mi.module}.{cls}.{child.name}"
+                        class_methods.setdefault(
+                            (mi.module, cls), {})[child.name] = qual
+                    functions[qual] = FunctionInfo(
+                        qualname=qual, mi=mi, node=child, cls=cls)
+                    index(mi, child, cls)  # nested defs keep the class scope
+
+        for mi in self.files:
+            module_funcs.setdefault(mi.module, {})
+            # the module body is itself a callable scope for taint purposes
+            qual = f"{mi.module}.<module>"
+            functions[qual] = FunctionInfo(qualname=qual, mi=mi, node=mi.tree)
+            index(mi, mi.tree, None)
+
+        def resolve(func: ast.expr, info: FunctionInfo) -> Optional[str]:
+            if isinstance(func, ast.Name):
+                local = module_funcs[info.mi.module]
+                if func.id in local:
+                    return local[func.id]
+                origin = info.mi.from_imports.get(func.id)
+                if origin is not None and origin[0].split(".")[0] == _PKG:
+                    return f"{origin[0]}.{origin[1]}"
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)):
+                if func.value.id == "self" and info.cls is not None:
+                    return class_methods.get(
+                        (info.mi.module, info.cls), {}).get(func.attr)
+                mod = info.mi.module_names.get(func.value.id)
+                if mod is not None:
+                    return f"{mod}.{func.attr}"
+            return None
+
+        for info in functions.values():
+            seen: dict[str, None] = {}
+            for node in scope_walk(info.node):
+                if isinstance(node, ast.Call):
+                    target = resolve(node.func, info)
+                    if target is not None and target != info.qualname:
+                        seen[target] = None
+            info.calls = list(seen)
+        return functions
+
+    @cached_property
+    def callers(self) -> dict[str, list[str]]:
+        """The reverse call graph: callee qualname -> caller qualnames."""
+        callers: dict[str, list[str]] = {}
+        for src in self.functions.values():
+            for dst in src.calls:
+                callers.setdefault(dst, []).append(src.qualname)
+        return callers
+
+    # -- queries -------------------------------------------------------------
+    def is_hot(self, mi: ModuleInfo) -> bool:
+        return mi.in_package(self.hot_paths)
+
+    def is_sim(self, info: FunctionInfo) -> bool:
+        """Does this function live in code that runs under the DES?"""
+        return info.mi.in_package(_SIM_PACKAGES)
+
+    def sim_chain(self, qualname: str) -> Optional[list[str]]:
+        """Shortest caller chain from simulation code down to ``qualname``.
+
+        Returns ``[sim_entry, ..., qualname]`` or None when nothing in a
+        simulation package (transitively) calls it.  A qualname already
+        in simulation code is its own one-element chain.
+        """
+        info = self.functions.get(qualname)
+        if info is not None and self.is_sim(info):
+            return [qualname]
+        # reverse-BFS: walk callers until one lives in a sim package
+        frontier = [[qualname]]
+        visited = {qualname}
+        while frontier:
+            nxt: list[list[str]] = []
+            for chain in frontier:
+                for caller in self.callers.get(chain[0], []):
+                    if caller in visited:
+                        continue
+                    visited.add(caller)
+                    new = [caller] + chain
+                    caller_info = self.functions.get(caller)
+                    if caller_info is not None and self.is_sim(caller_info):
+                        return new
+                    nxt.append(new)
+            frontier = nxt
+        return None
+
+    def diag(self, code: str, message: str, mi: ModuleInfo,
              node: ast.AST, hint: str = "", **data) -> Diagnostic:
         return Diagnostic(
             code=code,
             severity=code_info(code).severity,
             message=message,
             location=SourceLocation(
-                pf.rel, getattr(node, "lineno", 0),
+                mi.rel, getattr(node, "lineno", 0),
                 getattr(node, "col_offset", -1) + 1,
             ),
             hint=hint,
@@ -160,7 +389,7 @@ def default_self_context() -> SelfLintContext:
 
 
 def analyze_self(ctx: SelfLintContext, select=None, ignore=None):
-    """Run every determinism pass; deterministic, sorted diagnostics."""
+    """Run every RK2xx and RK3xx pass; deterministic, sorted diagnostics."""
     return run_passes(SELF_PASSES, ctx, select=select, ignore=ignore)
 
 
@@ -169,73 +398,78 @@ def analyze_self(ctx: SelfLintContext, select=None, ignore=None):
 
 @register_self("RK201")
 def check_wall_clock(ctx: SelfLintContext):
-    for pf in ctx.files:
-        # An aliased reference (``perf = time.perf_counter``) reads the
-        # wall clock at every later call without ever matching the Call
-        # pattern below — flag the alias itself.  Attribute nodes that
-        # ARE the func of a call are skipped here (the Call branch owns
-        # them), so nothing is reported twice.
+    for mi in ctx.files:
+        # An aliased reference (``perf = time.perf_counter``, or a bare
+        # ``perf_counter`` from ``from time import perf_counter``) reads
+        # the wall clock at every later call without ever matching the
+        # Call pattern below — flag the alias itself.  Nodes that ARE the
+        # func of a call are skipped here (the Call branch owns them), so
+        # nothing is reported twice.
         call_funcs = {
-            id(node.func) for node in ast.walk(pf.tree)
+            id(node.func) for node in ast.walk(mi.tree)
             if isinstance(node, ast.Call)
         }
-        for node in ast.walk(pf.tree):
-            if (isinstance(node, ast.Attribute)
-                    and id(node) not in call_funcs
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in pf.time_names
-                    and node.attr in _WALL_TIME_FUNCS):
-                yield ctx.diag(
-                    "RK201",
-                    f"wall-clock function time.{node.attr} aliased in "
-                    f"simulation code",
-                    pf, node,
-                    hint="read env.now (simulated time) instead; binding "
-                         "the clock to a local hides every later read "
-                         "from this lint",
-                    call=f"time.{node.attr}",
-                )
+        for node in ast.walk(mi.tree):
+            if id(node) not in call_funcs:
+                clock = _wall_clock_name(node, mi)
+                if clock is not None:
+                    yield ctx.diag(
+                        "RK201",
+                        f"wall-clock function time.{clock} aliased in "
+                        f"simulation code",
+                        mi, node,
+                        hint="read env.now (simulated time) instead; "
+                             "binding the clock to a local hides every "
+                             "later read from this lint",
+                        call=f"time.{clock}",
+                    )
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             label = None
-            if isinstance(func, ast.Attribute):
-                base = func.value
-                if (isinstance(base, ast.Name)
-                        and base.id in pf.time_names
-                        and func.attr in _WALL_TIME_FUNCS):
-                    label = f"time.{func.attr}()"
-                elif (func.attr in _DATETIME_FUNCS
-                      and _is_datetime_base(base, pf)):
-                    label = f"datetime.{func.attr}()"
-            elif isinstance(func, ast.Name):
-                origin = pf.from_imports.get(func.id)
-                if origin == ("time", "time") or (
-                    origin is not None
-                    and origin[0] == "time"
-                    and origin[1] in _WALL_TIME_FUNCS
-                ):
-                    label = f"time.{origin[1]}()"
+            clock = _wall_clock_name(func, mi)
+            if clock is not None:
+                label = f"time.{clock}()"
+            elif (isinstance(func, ast.Attribute)
+                  and func.attr in _DATETIME_FUNCS
+                  and _is_datetime_base(func.value, mi)):
+                label = f"datetime.{func.attr}()"
             if label is not None:
                 yield ctx.diag(
                     "RK201",
                     f"wall-clock read {label} in simulation code",
-                    pf, node,
+                    mi, node,
                     hint="read env.now (simulated time) instead; wall time "
                          "breaks byte-identical replay",
                     call=label,
                 )
 
 
-def _is_datetime_base(base: ast.expr, pf: ParsedFile) -> bool:
+def _wall_clock_name(node: ast.AST, mi: ModuleInfo) -> Optional[str]:
+    """The ``time`` function ``node`` names: ``time.perf_counter`` via
+    ``import time``, or a bare ``perf_counter`` from-imported from it."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in mi.time_names
+            and node.attr in _WALL_TIME_FUNCS):
+        return node.attr
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        origin = mi.from_imports.get(node.id)
+        if (origin is not None and origin[0] == "time"
+                and origin[1] in _WALL_TIME_FUNCS):
+            return origin[1]
+    return None
+
+
+def _is_datetime_base(base: ast.expr, mi: ModuleInfo) -> bool:
     """datetime.now() via `from datetime import datetime/date` or
     datetime.datetime.now() via `import datetime`."""
     if isinstance(base, ast.Name):
-        origin = pf.from_imports.get(base.id)
+        origin = mi.from_imports.get(base.id)
         return origin is not None and origin[0] == "datetime" and \
             origin[1] in ("datetime", "date")
     if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name):
-        return (base.value.id in pf.datetime_names
+        return (base.value.id in mi.datetime_names
                 and base.attr in ("datetime", "date"))
     return False
 
@@ -245,19 +479,19 @@ def _is_datetime_base(base: ast.expr, pf: ParsedFile) -> bool:
 
 @register_self("RK202")
 def check_global_random(ctx: SelfLintContext):
-    for pf in ctx.files:
-        for node in ast.walk(pf.tree):
+    for mi in ctx.files:
+        for node in ast.walk(mi.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = None
             if (isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
-                    and func.value.id in pf.random_names
+                    and func.value.id in mi.random_names
                     and func.attr in _GLOBAL_RANDOM_FUNCS):
                 name = func.attr
             elif isinstance(func, ast.Name):
-                origin = pf.from_imports.get(func.id)
+                origin = mi.from_imports.get(func.id)
                 if (origin is not None and origin[0] == "random"
                         and origin[1] in _GLOBAL_RANDOM_FUNCS):
                     name = origin[1]
@@ -265,7 +499,7 @@ def check_global_random(ctx: SelfLintContext):
                 yield ctx.diag(
                     "RK202",
                     f"random.{name}() uses the unseeded module-level RNG",
-                    pf, node,
+                    mi, node,
                     hint="construct a seeded random.Random(seed) and call "
                          "the method on it",
                     call=f"random.{name}",
@@ -275,52 +509,24 @@ def check_global_random(ctx: SelfLintContext):
 # -- RK203: set iteration in hot paths -------------------------------------------
 
 
-def _is_set_expr(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset"))
-
-
 def _scopes(tree: ast.AST) -> Iterator[ast.AST]:
     yield tree
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, _FUNCTION_DEFS):
             yield node
-
-
-def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope without descending into nested function bodies."""
-    stack = list(getattr(scope, "body", []))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @register_self("RK203")
 def check_set_iteration(ctx: SelfLintContext):
-    for pf in ctx.files:
-        if not ctx.is_hot(pf):
+    for mi in ctx.files:
+        if not ctx.is_hot(mi):
             continue
-        for scope in _scopes(pf.tree):
-            set_names: set[str] = set()
-            for node in _scope_statements(scope):
-                if isinstance(node, ast.Assign) and _is_set_expr(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            set_names.add(target.id)
-                elif (isinstance(node, ast.AnnAssign)
-                      and node.value is not None
-                      and _is_set_expr(node.value)
-                      and isinstance(node.target, ast.Name)):
-                    set_names.add(node.target.id)
+        for scope in _scopes(mi.tree):
+            # Class bodies belong to the enclosing scope here.
+            names = set_names(scope, _FUNCTION_DEFS)
 
             def iter_exprs():
-                for node in _scope_statements(scope):
+                for node in scope_walk(scope, _FUNCTION_DEFS):
                     if isinstance(node, (ast.For, ast.AsyncFor)):
                         yield node.iter
                     elif isinstance(node, (ast.ListComp, ast.SetComp,
@@ -329,17 +535,14 @@ def check_set_iteration(ctx: SelfLintContext):
                             yield gen.iter
 
             for it in iter_exprs():
-                flagged = _is_set_expr(it) or (
-                    isinstance(it, ast.Name) and it.id in set_names
-                )
-                if flagged:
+                if is_unordered(it, names):
                     what = (it.id if isinstance(it, ast.Name)
                             else ast.unparse(it))
                     yield ctx.diag(
                         "RK203",
                         f"iteration over unordered set {what!r} in a "
                         f"hot path",
-                        pf, it,
+                        mi, it,
                         hint="use dict.fromkeys(...) (insertion-ordered "
                              "set) or sorted(...) when order can reach "
                              "floats, events, or telemetry",
@@ -352,8 +555,8 @@ def check_set_iteration(ctx: SelfLintContext):
 
 @register_self("RK204")
 def check_leaked_spans(ctx: SelfLintContext):
-    for pf in ctx.files:
-        for node in ast.walk(pf.tree):
+    for mi in ctx.files:
+        for node in ast.walk(mi.tree):
             if (isinstance(node, ast.Expr)
                     and isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Attribute)
@@ -361,7 +564,7 @@ def check_leaked_spans(ctx: SelfLintContext):
                 yield ctx.diag(
                     "RK204",
                     "span opened and discarded: it can never be closed",
-                    pf, node,
+                    mi, node,
                     hint="bind it and call .end(), or use the context-"
                          "manager form: `with tracer.span(...):`",
                 )
@@ -375,16 +578,11 @@ def check_leaked_spans(ctx: SelfLintContext):
 _QUEUE_HOT_PACKAGES = ("load", "netsim", "exec")
 
 
-def _in_queue_hot_package(ctx: SelfLintContext, pf: ParsedFile) -> bool:
-    rel_pkg = pf.path.relative_to(ctx.package_root)
-    return bool(rel_pkg.parts) and rel_pkg.parts[0] in _QUEUE_HOT_PACKAGES
-
-
-def _queue_call_name(node: ast.Call, pf: ParsedFile) -> Optional[str]:
+def _queue_call_name(node: ast.Call, mi: ModuleInfo) -> Optional[str]:
     """'deque' / 'Queue' / 'SimpleQueue' when ``node`` constructs one."""
     func = node.func
     if isinstance(func, ast.Name):
-        origin = pf.from_imports.get(func.id)
+        origin = mi.from_imports.get(func.id)
         if origin == ("collections", "deque"):
             return "deque"
         if origin is not None and origin[0] in ("queue", "asyncio") and \
@@ -430,20 +628,20 @@ def check_unbounded_queues(ctx: SelfLintContext):
     that is length-checked before every append) is suppressed via the
     lint baseline, which doubles as an inventory of such invariants.
     """
-    for pf in ctx.files:
-        if not _in_queue_hot_package(ctx, pf):
+    for mi in ctx.files:
+        if not mi.in_package(_QUEUE_HOT_PACKAGES):
             continue
-        for node in ast.walk(pf.tree):
+        for node in ast.walk(mi.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _queue_call_name(node, pf)
+            name = _queue_call_name(node, mi)
             if name is None or _queue_is_bounded(name, node):
                 continue
             yield ctx.diag(
                 "RK206",
                 f"{name}() constructed without a bound on an open-loop "
                 f"load path",
-                pf, node,
+                mi, node,
                 hint="pass maxlen=/maxsize=, or add a baseline entry "
                      "naming the invariant that bounds it",
                 queue=name,
@@ -466,28 +664,16 @@ _MEMBERSHIP_RE = re.compile(
 _SERIAL_WAIT_ATTRS = frozenset({"step", "run", "wait_for_state"})
 
 
-def _in_serial_surface(ctx: SelfLintContext, pf: ParsedFile) -> bool:
-    rel_pkg = pf.path.relative_to(ctx.package_root).as_posix()
-    return any(
-        rel_pkg == surface or rel_pkg.startswith(surface + "/")
-        for surface in _SERIAL_SURFACES
-    )
-
-
 def _body_waits_per_host(loop: ast.For) -> Optional[str]:
-    """The first per-iteration simulation wait in the loop body, if any."""
-    stack = list(loop.body) + list(loop.orelse)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue  # a nested def's waits run on its caller's schedule
+    """The first per-iteration simulation wait in the loop body, if any
+    (a nested def's waits run on its caller's schedule)."""
+    for node in scope_walk(loop, _FUNCTION_DEFS):
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return "yield"
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _SERIAL_WAIT_ATTRS):
             return node.func.attr
-        stack.extend(ast.iter_child_nodes(node))
     return None
 
 
@@ -502,10 +688,10 @@ def check_serial_host_loops(ctx: SelfLintContext):
     rack/rank to physical position, §6.4) are suppressed via the lint
     baseline, which doubles as the inventory of intentional remnants.
     """
-    for pf in ctx.files:
-        if not _in_serial_surface(ctx, pf):
+    for mi in ctx.files:
+        if not mi.in_package(_SERIAL_SURFACES):
             continue
-        for node in ast.walk(pf.tree):
+        for node in ast.walk(mi.tree):
             if not isinstance(node, ast.For):
                 continue
             iter_text = ast.unparse(node.iter)
@@ -518,7 +704,7 @@ def check_serial_host_loops(ctx: SelfLintContext):
                 "RK207",
                 f"serial per-host loop over {iter_text!r} waits on the "
                 f"simulation ({wait}) once per host",
-                pf, node,
+                mi, node,
                 hint="drive hosts through repro.exec.ExecTask (sliding "
                      "fanout window) or one AllOf barrier; add a baseline "
                      "entry when serialization is the point",
@@ -553,13 +739,12 @@ def check_unparented_spans(ctx: SelfLintContext):
     visibly.  Intentional roots and ambient-context parenting carry
     baseline entries, which double as the inventory of trace roots.
     """
-    for pf in ctx.files:
-        rel_pkg = pf.path.relative_to(ctx.package_root).as_posix()
+    for mi in ctx.files:
         # The telemetry package defines the span API (and its tests of
         # record shapes); it is not an instrumentation site.
-        if rel_pkg.startswith("telemetry/"):
+        if mi.in_package(("telemetry",)):
             continue
-        for node in ast.walk(pf.tree):
+        for node in ast.walk(mi.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -574,7 +759,7 @@ def check_unparented_spans(ctx: SelfLintContext):
                 f"tracer.{func.attr}(...) without parent= — an accidental "
                 f"trace root drops its subtree from critical-path "
                 f"attribution",
-                pf, node,
+                mi, node,
                 hint="thread the causal parent span (parent=..., possibly "
                      "None), or add a baseline entry naming this an "
                      "intentional root",
@@ -594,8 +779,8 @@ def check_leaked_series(ctx: SelfLintContext):
     into the returned handle or keeps it for ``close()``; a bare
     statement does neither and the export ships a dead series.
     """
-    for pf in ctx.files:
-        for node in ast.walk(pf.tree):
+    for mi in ctx.files:
+        for node in ast.walk(mi.tree):
             if (isinstance(node, ast.Expr)
                     and isinstance(node.value, ast.Call)
                     and isinstance(node.value.func, ast.Attribute)
@@ -604,7 +789,7 @@ def check_leaked_series(ctx: SelfLintContext):
                     "RK205",
                     "metric series opened and discarded: nothing records "
                     "into it or flushes it",
-                    pf, node,
+                    mi, node,
                     hint="bind the returned RoundRobinSeries and record "
                          "into it, or route writes through store.record()",
                 )

@@ -136,14 +136,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from .analysis import (
         CONFIG_PASSES,
-        DEEP_PASSES,
         SELF_PASSES,
         Baseline,
         ConfigContext,
         analyze_config,
-        analyze_deep,
         analyze_self,
-        default_deep_context,
         default_self_context,
         render_json,
         render_text,
@@ -152,16 +149,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = _parse_codes(args.select)
     ignore = _parse_codes(args.ignore)
 
-    if args.self or args.deep:
+    if args.self:
         ctx = default_self_context()
         diagnostics = analyze_self(ctx, select=select, ignore=ignore)
         ran_passes = list(SELF_PASSES)
-        if args.deep:
-            diagnostics += analyze_deep(
-                default_deep_context(), select=select, ignore=ignore
-            )
-            diagnostics.sort(key=lambda d: d.sort_key)
-            ran_passes += DEEP_PASSES
         default_baseline = ctx.repo_root / "lint-baseline.txt"
     else:
         arches = tuple(a.strip() for a in args.arch.split(",") if a.strip())
@@ -213,7 +204,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if not diagnostics:
             print(
                 "lint: src/repro is consistent with the determinism rules"
-                if args.self or args.deep
+                if args.self
                 else "lint: XML infrastructure is consistent with the "
                      "distribution"
             )
@@ -605,12 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore", default=None, metavar="CODES",
                    help="drop these code prefixes")
     p.add_argument("--self", action="store_true",
-                   help="run the AST determinism linter over src/repro "
-                        "instead of the config analyzers")
-    p.add_argument("--deep", action="store_true",
-                   help="also run the RK3xx dataflow determinism passes "
-                        "(symbol table + call graph over src/repro; "
-                        "implies --self)")
+                   help="run the determinism linter (RK2xx AST passes and "
+                        "RK3xx dataflow passes) over src/repro instead of "
+                        "the config analyzers")
     p.add_argument("--baseline", default=None, metavar="PATH",
                    help="suppression baseline file "
                         "(default: lint-baseline.txt)")

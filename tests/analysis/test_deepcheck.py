@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import DeepContext, analyze_deep, default_deep_context
+from repro.analysis import SelfLintContext, analyze_self, default_self_context
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -23,7 +23,7 @@ def make_ctx(tmp_path, files):
         path = pkg / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return DeepContext(package_root=pkg, repo_root=tmp_path)
+    return SelfLintContext(package_root=pkg, repo_root=tmp_path)
 
 
 def codes(diags):
@@ -92,7 +92,7 @@ def test_rk301_direct_in_sim_code(tmp_path):
             rng = random.Random()
             return rng.random()
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK301"]
     assert diags[0].data["chain"] == ["repro.netsim.a.jitter"]
 
@@ -110,7 +110,7 @@ def test_rk301_taint_through_helper(tmp_path):
                 return make_rng().random()
         """,
     })
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK301"]
     assert diags[0].location.file == "src/pkg/util.py"
     assert diags[0].data["chain"] == [
@@ -128,7 +128,21 @@ def test_rk301_seeded_is_clean(tmp_path):
             c = random.Random(seed=7)
             return a, b, c
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
+
+
+def test_rk301_none_seed_is_unseeded(tmp_path):
+    """Random(None) seeds from OS entropy exactly like Random()."""
+    ctx = make_ctx(tmp_path, {"netsim/a.py": """
+        import random
+        def jitter():
+            a = random.Random(None)
+            b = random.Random(x=None)
+            return a, b
+    """})
+    diags = analyze_self(ctx)
+    assert codes(diags) == ["RK301", "RK301"]
+    assert [d.location.line for d in diags] == [4, 5]
 
 
 def test_rk301_unreached_helper_is_clean(tmp_path):
@@ -138,7 +152,7 @@ def test_rk301_unreached_helper_is_clean(tmp_path):
         def offline():
             return random.Random()
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK302: yield-straddling staleness -----------------------------------------
@@ -153,7 +167,7 @@ def test_rk302_snapshot_read_after_yield(tmp_path):
                 for flow in active:
                     flow.credit += 1
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK302"]
     assert "active" in diags[0].message
     assert diags[0].data["snapshot"] == "list(self.flows)"
@@ -166,7 +180,7 @@ def test_rk302_copy_method_form(tmp_path):
             yield env.timeout(1.0)
             return len(pending)
     """})
-    assert codes(analyze_deep(ctx)) == ["RK302"]
+    assert codes(analyze_self(ctx)) == ["RK302"]
 
 
 def test_rk302_use_before_yield_is_clean(tmp_path):
@@ -177,7 +191,7 @@ def test_rk302_use_before_yield_is_clean(tmp_path):
             yield env.timeout(1.0)
             return count
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk302_local_snapshot_is_clean(tmp_path):
@@ -188,7 +202,7 @@ def test_rk302_local_snapshot_is_clean(tmp_path):
             yield env.timeout(1.0)
             return mine
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK303: unbounded wait loops -----------------------------------------------
@@ -200,7 +214,7 @@ def test_rk303_pure_sleep_poll(tmp_path):
             while not node.ready:
                 yield env.timeout(1.0)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK303"]
     assert "not node.ready" in diags[0].message
 
@@ -211,7 +225,7 @@ def test_rk303_deadline_bound_is_clean(tmp_path):
             while not node.ready and env.now < deadline:
                 yield env.timeout(1.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk303_service_loop_is_clean(tmp_path):
@@ -222,7 +236,7 @@ def test_rk303_service_loop_is_clean(tmp_path):
                 self.tick()
                 yield env.slotted_timeout(1.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk303_while_true_is_clean(tmp_path):
@@ -231,7 +245,7 @@ def test_rk303_while_true_is_clean(tmp_path):
             while True:
                 yield env.timeout(5.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK304: order-sensitive float accumulation ---------------------------------
@@ -243,7 +257,7 @@ def test_rk304_sum_over_set_name(tmp_path):
             rates = {1.0, 2.0, 4.0}
             return sum(rates)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK304"]
 
 
@@ -252,7 +266,7 @@ def test_rk304_genexp_over_set_call(tmp_path):
         def total(flows):
             return sum(f.rate for f in set(flows))
     """})
-    assert codes(analyze_deep(ctx)) == ["RK304"]
+    assert codes(analyze_self(ctx, select=["RK3"])) == ["RK304"]
 
 
 def test_rk304_augassign_under_set_iteration(tmp_path):
@@ -263,7 +277,7 @@ def test_rk304_augassign_under_set_iteration(tmp_path):
                 acc += f.rate
             return acc
     """})
-    assert codes(analyze_deep(ctx)) == ["RK304"]
+    assert codes(analyze_self(ctx, select=["RK3"])) == ["RK304"]
 
 
 def test_rk304_cold_package_is_exempt(tmp_path):
@@ -271,7 +285,7 @@ def test_rk304_cold_package_is_exempt(tmp_path):
         def total(flows):
             return sum(f.rate for f in set(flows))
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk304_sorted_iteration_is_clean(tmp_path):
@@ -279,7 +293,7 @@ def test_rk304_sorted_iteration_is_clean(tmp_path):
         def total(flows):
             return sum(f.rate for f in sorted(flows))
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- self-hosting and determinism ----------------------------------------------
@@ -287,8 +301,8 @@ def test_rk304_sorted_iteration_is_clean(tmp_path):
 
 def test_src_repro_is_rk3xx_clean():
     """The tentpole acceptance bar: every RK3xx hazard in our own source
-    was fixed in-tree, so the deep passes run clean."""
-    assert analyze_deep(default_deep_context()) == []
+    was fixed in-tree, so the RK3xx passes run clean."""
+    assert analyze_self(default_self_context(), select=["RK3"]) == []
 
 
 def test_deep_diagnostics_sorted(tmp_path):
@@ -302,16 +316,16 @@ def test_deep_diagnostics_sorted(tmp_path):
             rates = {1.0}
             return sum(rates)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert diags == sorted(diags, key=lambda d: d.sort_key)
 
 
-def _lint_deep_json(hash_seed):
+def _lint_self_json(hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--deep",
+        [sys.executable, "-m", "repro", "lint", "--self",
          "--format", "json", "--no-baseline"],
         capture_output=True, env=env, cwd=REPO_ROOT,
     )
@@ -321,8 +335,8 @@ def _lint_deep_json(hash_seed):
 def test_rk3xx_json_byte_identical_across_hash_seeds():
     """The analyzer output must itself be deterministic: two interpreter
     processes with different hash seeds render identical JSON bytes."""
-    first = _lint_deep_json("0")
-    second = _lint_deep_json("424242")
+    first = _lint_self_json("0")
+    second = _lint_self_json("424242")
     assert first == second
     doc = json.loads(first)
     # --no-baseline resurfaces the profiler's sanctioned wall-clock use;

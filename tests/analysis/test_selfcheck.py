@@ -1,5 +1,6 @@
 """The AST determinism linter: planted hazards, clean forms, self-hosting."""
 
+import ast
 import textwrap
 
 from repro.analysis import Baseline, SelfLintContext, analyze_self, default_self_context
@@ -116,7 +117,7 @@ def test_rk203_tracked_name_and_comprehension(tmp_path):
             extra = {x for x in frozenset(items)}
             return total, extra
     """})
-    assert codes(analyze_self(ctx)) == ["RK203", "RK203"]
+    assert codes(analyze_self(ctx, select=["RK2"])) == ["RK203", "RK203"]
 
 
 def test_rk203_ignores_cold_paths_and_ordered_forms(tmp_path):
@@ -358,6 +359,61 @@ def test_rk201_aliased_wall_clock_flagged(tmp_path):
     diags = analyze_self(ctx)
     assert codes(diags) == ["RK201"]
     assert "aliased" in diags[0].message
+
+
+def test_rk201_from_imported_clock_alias_flagged(tmp_path):
+    """A bare from-imported clock bound to a local is the same hazard as
+    ``time.perf_counter`` bound to one."""
+    ctx = make_ctx(tmp_path, {"netsim/a.py": """
+        import time
+        from time import perf_counter
+        def hot():
+            clock = perf_counter
+            clock2 = time.perf_counter
+            return clock() + clock2()
+    """})
+    diags = analyze_self(ctx)
+    assert codes(diags) == ["RK201", "RK201"]
+    assert [d.location.line for d in diags] == [5, 6]
+    assert all("aliased" in d.message for d in diags)
+    assert [d.data["call"] for d in diags] == ["time.perf_counter"] * 2
+
+
+# -- one linter: one parse, both pass families --------------------------------
+
+
+def test_one_parse_per_file_per_lint_run(monkeypatch):
+    """Every file is parsed exactly once, and the symbol table the RK3xx
+    passes use is built from those same trees."""
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    ctx = default_self_context()
+    analyze_self(ctx)
+    files = sorted(str(p) for p in ctx.package_root.rglob("*.py"))
+    assert sorted(parsed) == files
+    assert {info.mi.rel for info in ctx.functions.values()} == {
+        mi.rel for mi in ctx.files
+    }
+
+
+def test_mixed_fixture_reports_both_families(tmp_path):
+    ctx = make_ctx(tmp_path, {"netsim/mixed.py": """
+        def total(flows):
+            acc = 0.0
+            for f in set(flows):
+                acc += f.rate
+            return acc
+    """})
+    diags = analyze_self(ctx)
+    assert codes(diags) == ["RK203", "RK304"]
+    assert codes(analyze_self(ctx, select=["RK2"])) == ["RK203"]
+    assert codes(analyze_self(ctx, select=["RK3"])) == ["RK304"]
 
 
 # -- self-hosting: the acceptance gate ----------------------------------------

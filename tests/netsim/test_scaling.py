@@ -1,11 +1,13 @@
 """Scaling-path tests: incremental fair-share vs the full recompute.
 
-The incremental allocator must be *indistinguishable* from the legacy
-full recompute — not approximately, but bit-for-bit: crediting,
-completion sweeps and wakeup scheduling share one code path, and the
-full mode merely refills components the incremental mode proves
-untouched.  The differential tests here drive both modes through the
-same randomized workload and assert exact float equality.
+The incremental allocator must be *indistinguishable* from a full
+recompute — not approximately, but bit-for-bit: crediting, completion
+sweeps and wakeup scheduling share one code path, and the oracle
+(:class:`FullRecomputeNetwork`) merely refills components the
+incremental network proves untouched.  The differential tests here
+drive both through the same randomized workload and assert exact float
+equality; an independent max-min checker validates every intermediate
+allocation against the definition of fairness itself.
 """
 
 import random
@@ -23,6 +25,8 @@ from repro.netsim import (
 )
 from repro.netsim.engine import Environment as _Env
 from repro.telemetry.tracer import Span
+
+from .flow_oracle import FullRecomputeNetwork, assert_maxmin_fair
 
 
 # -- differential: incremental vs full recompute --------------------------
@@ -54,9 +58,10 @@ def _random_script(seed, n_links=8, n_ops=80):
     return caps, ops
 
 
-def _run_world(incremental, caps, ops):
+def _run_world(network_cls, caps, ops, check=None):
+    """Replay ``ops``; ``check(net)`` (if given) runs after every op."""
     env = Environment()
-    net = FlowNetwork(env, incremental=incremental)
+    net = network_cls(env)
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     created = []
     snapshots = []
@@ -83,6 +88,8 @@ def _run_world(incremental, caps, ops):
                 j, cap = params
                 links[j].capacity = cap
                 net.recompute([links[j]])
+            if check is not None:
+                check(net)
             snapshots.append((env.now, tuple(f.rate for f in created)))
 
     env.process(driver())
@@ -95,11 +102,27 @@ def _run_world(incremental, caps, ops):
 @pytest.mark.parametrize("seed", range(6))
 def test_incremental_matches_full_recompute_exactly(seed):
     caps, ops = _random_script(seed)
-    incr = _run_world(True, caps, ops)
-    full = _run_world(False, caps, ops)
+    incr = _run_world(FlowNetwork, caps, ops)
+    full = _run_world(FullRecomputeNetwork, caps, ops)
     # Exact equality, not approx: completion instants, every mid-run rate
     # snapshot, per-link byte counters, and the global moved total.
     assert incr == full
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rates_are_maxmin_fair_after_every_op(seed):
+    """The same scripts, checked against the max-min definition after
+    every start, cancel and capacity change."""
+    caps, ops = _random_script(seed)
+    checks = []
+
+    def check(net):
+        assert_maxmin_fair(net)
+        checks.append(len(net._flows))
+
+    _run_world(FlowNetwork, caps, ops, check=check)
+    assert len(checks) == len(ops)
+    assert max(checks) >= 2  # flows actually contended
 
 
 # -- satellite 1: completions must not leave stale allocation state -------
