@@ -16,6 +16,7 @@ import pytest
 
 from helpers import print_rows
 from repro import build_cluster
+from repro.core.tools.shoot_node import makespan
 from repro.installer import InstallCalibration
 
 N = 16
@@ -24,9 +25,7 @@ N = 16
 def _interleaved():
     sim = build_cluster(n_compute=N)
     sim.integrate_all()
-    reports = sim.reinstall_all()
-    span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
-    return span / 60.0, sim
+    return makespan(sim.reinstall_all()) / 60.0, sim
 
 
 def _bulk():

@@ -46,6 +46,7 @@ MAX_OVERHEAD = 0.05  # 5% interpreter-work budget for the monitored run
 def _campaign(n_nodes: int, monitored: bool):
     """One Table I campaign; returns (stack, per-node minutes, span min)."""
     from repro import build_cluster
+    from repro.core.tools.shoot_node import makespan
     from repro.monitoring import enable_cluster_monitoring
 
     sim = build_cluster(n_compute=n_nodes)
@@ -54,10 +55,7 @@ def _campaign(n_nodes: int, monitored: bool):
     if monitored:
         stack = enable_cluster_monitoring(sim.frontend, sim.nodes)
     reports = sim.reinstall_all()
-    span = (
-        max(r.finished_at for r in reports)
-        - min(r.started_at for r in reports)
-    ) / 60
+    span = makespan(reports) / 60
     per_node = [
         round(r.minutes, 9) for r in sorted(reports, key=lambda r: r.host)
     ]

@@ -18,6 +18,7 @@ import pytest
 
 from helpers import print_rows
 from repro import build_cluster
+from repro.core.tools.shoot_node import makespan
 from repro.netsim import GIGABIT_ETHERNET, LoadBalancer
 from repro.services import InstallServer
 
@@ -27,9 +28,7 @@ _cache = {}
 
 
 def _span(reports):
-    return (
-        max(r.finished_at for r in reports) - min(r.started_at for r in reports)
-    ) / 60.0
+    return makespan(reports) / 60.0
 
 
 def _baseline():

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import RocksCluster, build_cluster
-from repro.telemetry import Tracer, summarize, write_jsonl
+from repro import scenarios
+from repro.core.tools.shoot_node import makespan
+from repro.telemetry import summarize, write_jsonl
 
 __all__ = ["reinstall_experiment", "ReinstallResult", "print_rows"]
 
@@ -41,26 +42,30 @@ class ReinstallResult:
 def reinstall_experiment(
     n_nodes: int, trace: Optional[str] = None, **kwargs
 ) -> ReinstallResult:
-    """Build a cluster, integrate, then concurrently reinstall all nodes.
+    """Run the registry's ``reinstall`` scenario: build a cluster,
+    integrate, then concurrently reinstall all nodes.
 
     Matches §6.3's setup: one dual-PIII 100 Mbit HTTP server feeding
     733 MHz-1 GHz PIII compute nodes with Myrinet (driver rebuilt from
     source during the reinstall).  ``trace`` names a JSONL file to
     receive the run's telemetry (tracing stays off when omitted).
     """
-    tracer = Tracer() if trace else None
-    sim = build_cluster(n_compute=n_nodes, tracer=tracer, **kwargs)
-    sim.integrate_all()
-    served_before = sim.frontend.install_server.bytes_served
-    reports = sim.reinstall_all()
-    span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
+    ready = []  # (cluster, bytes served by integration)
+
+    def on_ready(sim):
+        ready.append((sim, sim.frontend.install_server.bytes_served))
+
+    run = scenarios.run("reinstall", n_nodes, traced=bool(trace),
+                        on_ready=on_ready, **kwargs)
+    reports = run.result
+    [(sim, served_before)] = ready
     summary = None
-    if tracer is not None:
-        write_jsonl(tracer, trace)
-        summary = summarize(tracer)
+    if run.tracer is not None:
+        write_jsonl(run.tracer, trace)
+        summary = summarize(run.tracer)
     return ReinstallResult(
         n_nodes=n_nodes,
-        minutes=span / 60.0,
+        minutes=makespan(reports) / 60.0,
         per_node_minutes=[r.minutes for r in reports],
         bytes_served=sim.frontend.install_server.bytes_served - served_before,
         trace_summary=summary,

@@ -28,11 +28,11 @@ Entry points::
     diags = analyze_self(default_self_context(), select=["RK3"])  # RK3xx only
 
     from repro.analysis import run_scenario, diagnose_divergence
-    race = diagnose_divergence(run_scenario("table1", 1),
-                               run_scenario("table1", 2))
+    race = diagnose_divergence(run_scenario("reinstall", 1),
+                               run_scenario("reinstall", 2))
 
 or ``python -m repro lint [--self] [--select RK3] [--strict]`` and
-``python -m repro sanitize table1``.
+``python -m repro sanitize reinstall``.
 """
 
 from . import deepcheck  # noqa: F401  (registers the RK3xx passes)
@@ -50,7 +50,6 @@ from .passes import (
 )
 from .render import JSON_SCHEMA_VERSION, render_json, render_text, summarize
 from .sanitizer import (
-    SCENARIOS,
     SanitizeOptions,
     Sanitizer,
     SanitizerSession,
@@ -71,7 +70,6 @@ __all__ = [
     "JSON_SCHEMA_VERSION",
     "Pass",
     "PROVIDED_ATTRIBUTES",
-    "SCENARIOS",
     "SELF_PASSES",
     "SanitizeOptions",
     "Sanitizer",

@@ -40,16 +40,16 @@ instructions (see ``bench_scaling_10k.py --quick``'s overhead guard).
 
 from __future__ import annotations
 
-import hashlib
 import random
 import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
+from .. import scenarios
 from ..netsim import engine as _engine
 from ..netsim.engine import Environment, Event, Process, Timeout
 from .diagnostics import Diagnostic, SourceLocation, code_info
@@ -61,8 +61,6 @@ __all__ = [
     "sanitized",
     "DispatchRecord",
     "RaceReport",
-    "ScenarioRun",
-    "SCENARIOS",
     "run_scenario",
     "diagnose_divergence",
 ]
@@ -376,99 +374,18 @@ def sanitized(options: Optional[SanitizeOptions] = None,
         session._remove_traps()
 
 
-# -- scenarios --------------------------------------------------------------------
-
-
-def _scenario_race_fixture(n: int) -> str:
-    """A planted same-tick race: n processes mutate shared state at t=10.
-
-    Every worker's timeout is due at the same instant, so their wakeups
-    are logically concurrent — and both the append order and the
-    non-associative float update make the outcome depend on dispatch
-    order.  This is the positive control: the sanitizer must catch it.
-    """
-    env = Environment()  # the ambient session sanitizes this environment
-    order: list[int] = []
-    shared = [0.0]
-
-    def worker(i: int):
-        yield env.timeout(10.0)
-        order.append(i)
-        shared[0] = shared[0] * 1.0000001 + i  # order-sensitive
-
-    for i in range(n):
-        env.process(worker(i), name=f"racer{i}")
-    env.run()
-    return repr((order, shared[0])) + "\n"
-
-
-def _scenario_table1(n: int) -> str:
-    """The paper's Table I point: integrate + concurrently reinstall."""
-    from .. import build_cluster
-
-    sim = build_cluster(n_compute=n)
-    sim.integrate_all()
-    reports = sim.reinstall_all()
-    lines = [
-        f"{r.host} {r.method} {r.started_at!r} {r.finished_at!r}"
-        for r in sorted(reports, key=lambda r: r.host)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _scenario_storm(n: int) -> str:
-    """Whole-site power-restore install storm; digest is the SLO JSON."""
-    from ..load import StormOptions, run_storm
-
-    result = run_storm(StormOptions(n_nodes=n, seed=42))
-    return result.slo_json()
-
-
-#: name -> (runner, default node count).  Runners return the canonical
-#: scenario output whose sha256 is the determinism digest.
-SCENARIOS: dict[str, tuple[Callable[[int], str], int]] = {
-    "race-fixture": (_scenario_race_fixture, 8),
-    "table1": (_scenario_table1, 8),
-    "storm": (_scenario_storm, 12),
-}
-
-
-@dataclass
-class ScenarioRun:
-    """One scenario execution under one perturbation seed."""
-
-    scenario: str
-    perturb_seed: int
-    digest: str
-    output: str
-    dispatch_log: list[DispatchRecord]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-
 def run_scenario(name: str, perturb_seed: int,
                  nodes: Optional[int] = None,
-                 record_stacks: bool = True) -> ScenarioRun:
-    """Run one named scenario under the sanitizer; digest its output."""
-    try:
-        runner, default_nodes = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r} (have: {', '.join(sorted(SCENARIOS))})"
-        ) from None
+                 record_stacks: bool = True) -> scenarios.ScenarioRun:
+    """Run one registry scenario under the sanitizer; digest its output."""
     opts = SanitizeOptions(seed=perturb_seed, record_stacks=record_stacks)
     with sanitized(opts) as session:
-        output = runner(nodes if nodes is not None else default_nodes)
-    log: list[DispatchRecord] = []
+        run = scenarios.run(name, nodes)
+    run.perturb_seed = perturb_seed
+    run.diagnostics = session.diagnostics()
     for env in session.envs:
-        log.extend(env.sanitizer.dispatch_log)
-    return ScenarioRun(
-        scenario=name,
-        perturb_seed=perturb_seed,
-        digest=hashlib.sha256(output.encode("utf-8")).hexdigest(),
-        output=output,
-        dispatch_log=log,
-        diagnostics=session.diagnostics(),
-    )
+        run.dispatch_log.extend(env.sanitizer.dispatch_log)
+    return run
 
 
 # -- divergence diagnosis ---------------------------------------------------------
@@ -552,7 +469,7 @@ def _first_difference(
 
 
 def diagnose_divergence(
-    run_a: ScenarioRun, run_b: ScenarioRun,
+    run_a: scenarios.ScenarioRun, run_b: scenarios.ScenarioRun,
 ) -> Optional[RaceReport]:
     """Compare two perturbed runs; a digest mismatch is a proven race.
 

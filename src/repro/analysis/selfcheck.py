@@ -97,8 +97,8 @@ _HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
 _SIM_PACKAGES = (
     "netsim", "installer", "services", "faults", "load", "monitoring",
     "exec", "resilience", "scheduler", "cluster", "core", "rpm",
-    "telemetry", "kernel", "quickbuild.py", "cli.py", "__init__.py",
-    "__main__.py",
+    "telemetry", "kernel", "quickbuild.py", "scenarios.py", "cli.py",
+    "__init__.py", "__main__.py",
 )
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -148,7 +148,9 @@ class ModuleInfo:
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.level:
-                    base = pkg_parts[: len(pkg_parts) - node.level]
+                    # an __init__ module is its package: `.` names itself
+                    up = node.level - (Path(self.pkg_rel).name == "__init__.py")
+                    base = pkg_parts[: len(pkg_parts) - up]
                     origin = ".".join(base + ([node.module] if node.module
                                               else []))
                 else:

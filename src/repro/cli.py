@@ -22,8 +22,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import build_cluster
+from . import build_cluster, scenarios
 from .core.kickstart import KickstartGenerator, default_graph, default_node_files
+from .core.tools.shoot_node import makespan
+from .faults import PLANS
 from .rpm import Repository, community_packages, npaci_packages, stock_redhat
 
 __all__ = ["main"]
@@ -42,13 +44,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_reinstall(args: argparse.Namespace) -> int:
-    sim = build_cluster(n_compute=args.nodes)
-    sim.integrate_all()
-    reports = sim.reinstall_all()
-    span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
+    reports = scenarios.run("reinstall", args.nodes).result
     for r in sorted(reports, key=lambda r: r.host):
         print(f"  {r.host:<14} {r.method:<9} {r.minutes:6.2f} min")
-    print(f"total: {len(reports)} concurrent reinstalls in {span / 60:.2f} minutes")
+    print(f"total: {len(reports)} concurrent reinstalls in "
+          f"{makespan(reports) / 60:.2f} minutes")
     return 0
 
 
@@ -58,13 +58,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for n in sorted(paper):
         if n > args.max_nodes:
             continue
-        sim = build_cluster(n_compute=n)
-        sim.integrate_all()
-        reports = sim.reinstall_all()
-        span = (
-            max(r.finished_at for r in reports)
-            - min(r.started_at for r in reports)
-        ) / 60
+        span = makespan(scenarios.run("reinstall", n).result) / 60
         print(f"{n:>5}  {paper[n]:>6.1f}  {span:>8.2f}")
     return 0
 
@@ -223,11 +217,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     seeds = args.seeds
     runs = []
     for seed in seeds:
-        run = run_scenario(
-            args.scenario, seed,
-            nodes=args.nodes,
-            record_stacks=not args.no_stacks,
-        )
+        run = run_scenario(args.scenario, seed, nodes=args.nodes,
+                           record_stacks=not args.no_stacks)
         print(f"sanitize: scenario {run.scenario!r} seed {seed}: "
               f"{len(run.dispatch_log)} dispatches, digest {run.digest}")
         runs.append(run)
@@ -248,11 +239,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         diagnostics.append(report.to_diagnostic())
         diagnostics.sort(key=lambda d: d.sort_key)
 
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        default_baseline = default_self_context().repo_root / "lint-baseline.txt"
-        baseline = Baseline.from_file(args.baseline or default_baseline)
+    baseline = Baseline() if args.no_baseline else Baseline.from_file(
+        args.baseline or default_self_context().repo_root / "lint-baseline.txt")
     diagnostics, suppressed = baseline.apply(diagnostics)
 
     if report is not None:
@@ -287,19 +275,13 @@ def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
 
     ``32`` keeps the historical behaviour (a 32-node cluster, campaign
     over all of it); ``node[0-4095]`` or ``compute-0-[0-15],@compute``
-    sizes the cluster to cover the set and targets exactly those nodes.
-    Returns ``(n_nodes, targets-or-None)``.
+    targets exactly those nodes, and the campaign grows the cluster to
+    cover the set.  Returns ``(n_nodes, targets-or-None)``.
     """
-    if value.isdigit():
-        return int(value), None
-    from .faults import campaign_size
-
-    return campaign_size(value), value
+    return (int(value), None) if value.isdigit() else (1, value)
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import chaos_reinstall
-
     plan = args.plan
     resilience = args.resilience
     if args.frontend_crash:
@@ -308,10 +290,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         plan = "frontend-crash"
         resilience = True
     n_nodes, targets = _campaign_nodes(args.nodes)
-    result = chaos_reinstall(
-        n_nodes=n_nodes, plan=plan, seed=args.seed, resilience=resilience,
-        targets=targets,
-    )
+    result = scenarios.run("chaos", n_nodes, seed=args.seed, plan=plan,
+                           resilience=resilience, targets=targets).result
     print(result.render())
     ok = result.completion_rate >= args.min_completion
     if args.frontend_crash:
@@ -336,16 +316,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_storm(args: argparse.Namespace) -> int:
-    from .load import StormOptions, run_storm
-
-    options = StormOptions(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        autoscale=not args.no_autoscale,
-        dhcp_stagger=args.stagger,
-        deadline=args.deadline,
-    )
-    result = run_storm(options)
+    result = scenarios.run(
+        "storm", args.nodes, seed=args.seed, autoscale=not args.no_autoscale,
+        dhcp_stagger=args.stagger, deadline=args.deadline,
+    ).result
     print(result.render())
     if result.autoscaler is not None and result.scale_events:
         print()
@@ -358,7 +332,6 @@ def _cmd_storm(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .faults import chaos_reinstall
     from .monitoring import MonitoringOptions
 
     options = MonitoringOptions(interval=args.interval)
@@ -368,15 +341,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             stack.start_watch(period=args.watch)
 
     n_nodes, targets = _campaign_nodes(args.nodes)
-    result = chaos_reinstall(
-        n_nodes=n_nodes,
-        plan=args.plan,
-        seed=args.seed,
-        resilience=args.resilience,
-        monitoring=options,
-        on_monitoring=on_stack,
-        targets=targets,
-    )
+    result = scenarios.run(
+        "chaos", n_nodes, seed=args.seed, plan=args.plan,
+        resilience=args.resilience, monitoring=options,
+        on_monitoring=on_stack, targets=targets,
+    ).result
     stack = result.monitoring
     if args.xml:
         print(stack.render_xml())
@@ -405,7 +374,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_fork(args: argparse.Namespace) -> int:
-    from .exec import ExecLab, ExecOptions, LabOptions, NodeSet
+    from .exec import NodeSet
 
     targets = args.nodes
     if "@" in targets:
@@ -424,46 +393,26 @@ def _cmd_fork(args: argparse.Namespace) -> int:
                 return 2
             indices.append(int(name[4:]))
         size = max(max(indices) + 1, args.size or 0)
-    lab = ExecLab(LabOptions(
-        nodes=size,
-        seed=args.seed,
-        dead_fraction=args.dead,
-        straggler_fraction=args.stragglers,
-    ))
-    report = lab.run(targets, exec_options=ExecOptions(
-        fanout=args.fanout,
-        command_timeout=args.timeout,
-        max_retries=args.retries,
-        seed=args.seed,
+    sys.stdout.write(scenarios.run(
+        "fork", size, seed=args.seed, targets=targets, dead=args.dead,
+        stragglers=args.stragglers, fanout=args.fanout,
+        command_timeout=args.timeout, max_retries=args.retries,
         straggler_interval=args.straggler_interval,
         straggler_factor=args.straggler_factor,
-    ))
-    print(report.render())
+    ).output)
     return 0
 
 
-def _run_traced_scenario(args: argparse.Namespace):
-    """Run the scenario named by ``args`` under a tracer; returns it."""
-    from .telemetry import Tracer
-
-    tracer = Tracer()
-    if args.scenario == "reinstall":
-        from . import build_cluster
-
-        sim = build_cluster(n_compute=args.nodes, tracer=tracer)
-        sim.integrate_all()
-        sim.reinstall_all()
-    elif args.scenario == "storm":
-        from .load import StormOptions, run_storm
-
-        result = run_storm(StormOptions(n_nodes=args.nodes,
-                                        seed=getattr(args, "seed", 42)))
-        tracer = result.tracer
-    else:  # chaos
-        from .faults import chaos_reinstall
-
-        chaos_reinstall(n_nodes=args.nodes, plan=args.plan, tracer=tracer)
-    return tracer
+def _traced_run(args: argparse.Namespace):
+    """Run ``args.scenario`` from the registry under a tracer."""
+    opts = {}
+    if args.plan is not None:
+        if args.scenario != "chaos":
+            args.error(f"--plan applies only to the chaos scenario, "
+                       f"not {args.scenario!r}")
+        opts["plan"] = args.plan
+    return scenarios.run(args.scenario, args.nodes, seed=args.seed,
+                         traced=True, **opts)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -483,10 +432,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for p in problems:
                 print(f"invalid: {p}")
             return 1
-        print(f"{args.validate}: valid {TRACE_SUMMARY_NOTE}")
+        print(f"{args.validate}: valid repro-trace JSONL")
         return 0
 
-    tracer = _run_traced_scenario(args)
+    tracer = _traced_run(args).tracer
     if args.format == "chrome":
         # chrome://tracing / Perfetto trace_event JSON: one track per
         # host/service, flow arrows for cross-node causality.
@@ -514,16 +463,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Why was this run slow?  Critical-path attribution for a scenario."""
+    from contextlib import nullcontext
+
+    from .netsim import profiled
     from .telemetry import dag_from_tracer, pick_root, render_report
 
-    if args.profile:
-        from .netsim import profiled
-
-        with profiled() as session:
-            tracer = _run_traced_scenario(args)
-    else:
-        tracer = _run_traced_scenario(args)
-    dag = dag_from_tracer(tracer)
+    with profiled() if args.profile else nullcontext() as session:
+        run = _traced_run(args)
+    dag = dag_from_tracer(run.tracer)
     root = pick_root(dag)
     if root is None:
         print("no spans recorded — nothing to explain")
@@ -540,7 +487,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-TRACE_SUMMARY_NOTE = "repro-trace JSONL"
+def _scenario_args(p: argparse.ArgumentParser, name: str,
+                   seeded: bool = True) -> None:
+    """The registry-backed arguments of trace, explain and sanitize: a
+    scenario name and ``--nodes``, plus ``--plan``/``--seed`` if seeded."""
+    p.add_argument(name, default="reinstall",
+                   choices=sorted(scenarios.SCENARIOS),
+                   **({} if name.startswith("-") else {"nargs": "?"}),
+                   help="registry scenario (default reinstall)")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="cluster size (default: the scenario's own)")
+    if seeded:
+        p.add_argument("--plan", default=None, choices=sorted(PLANS),
+                       help="fault plan (chaos only; default 'default')")
+        p.add_argument("--seed", type=int, default=None,
+                       help="scenario seed (default: the scenario's own)")
+        p.set_defaults(error=p.error)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,11 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
              "under different same-tick tie-break seeds and compare "
              "digests (divergence proves a scheduling race)",
     )
-    p.add_argument("scenario", nargs="?", default="table1",
-                   help="scenario to sanitize: table1, storm, or "
-                        "race-fixture (the planted positive control)")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="override the scenario's default cluster size")
+    _scenario_args(p, "scenario", seeded=False)
     p.add_argument("--seeds", type=int, nargs=2, default=[1, 2],
                    metavar=("A", "B"),
                    help="the two perturbation seeds to compare")
@@ -639,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", default="32",
                    help="node count, or a nodeset of campaign targets "
                         "(node[0-4095], compute-0-[0-15], @compute)")
-    from .faults import PLANS
-
     p.add_argument("--plan", default="default", choices=sorted(PLANS))
     p.add_argument("--seed", type=int, default=None,
                    help="re-seed the plan (default: the plan's own seed)")
@@ -681,9 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", default="32",
                    help="node count, or a nodeset of campaign targets "
                         "(node[0-4095], compute-0-[0-15], @compute)")
-    from .faults import PLANS as _mon_plans
-
-    p.add_argument("--plan", default="none", choices=sorted(_mon_plans),
+    p.add_argument("--plan", default="none", choices=sorted(PLANS),
                    help="fault plan to run the campaign under")
     p.add_argument("--seed", type=int, default=None,
                    help="re-seed the plan (default: the plan's own seed)")
@@ -739,15 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace", help="run a scenario with telemetry; dump or summarize the trace"
     )
-    p.add_argument("--scenario", default="reinstall",
-                   choices=["reinstall", "chaos", "storm"])
-    p.add_argument("--nodes", type=int, default=8)
-    from .faults import PLANS as _plans
-
-    p.add_argument("--plan", default="default", choices=sorted(_plans),
-                   help="fault plan for --scenario chaos")
-    p.add_argument("--seed", type=int, default=42,
-                   help="scenario seed (storm)")
+    _scenario_args(p, "--scenario")
     p.add_argument("--format", default="jsonl", choices=["jsonl", "chrome"],
                    help="output format: repro-trace JSONL (default) or "
                         "Chrome trace_event JSON for chrome://tracing / "
@@ -766,14 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
              "span DAG, and attribute the critical path to named "
              "resources (byte-identical for a fixed seed)",
     )
-    p.add_argument("scenario", nargs="?", default="reinstall",
-                   choices=["reinstall", "chaos", "storm"],
-                   help="scenario to trace and explain (default reinstall)")
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--plan", default="default", choices=sorted(_plans),
-                   help="fault plan for the chaos scenario")
-    p.add_argument("--seed", type=int, default=42,
-                   help="scenario seed (storm)")
+    _scenario_args(p, "scenario")
     p.add_argument("--top", type=int, default=None, metavar="N",
                    help="show only the N biggest resources")
     p.add_argument("--out", default=None,

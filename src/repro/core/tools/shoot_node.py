@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Optional, Sequence
 
 from ...cluster import Machine, MachineState, PowerState
 from ...netsim import AllOf, AnyOf, Process
 from ..frontend import RocksFrontend
 from .ekv import EkvConsole
 
-__all__ = ["shoot_node", "shoot_nodes", "ShootReport"]
+__all__ = ["shoot_node", "shoot_nodes", "ShootReport", "makespan"]
 
 
 @dataclass
@@ -66,6 +66,11 @@ class ShootReport:
         if self.ok:
             return f"{self.host}: up after {self.minutes:.1f} min via {self.method}"
         return f"{self.host}: FAILED via {self.method} ({self.error or 'unknown'})"
+
+
+def makespan(reports: Sequence[ShootReport]) -> float:
+    """Seconds from the first reinstall's start to the last one's finish."""
+    return max(r.finished_at for r in reports) - min(r.started_at for r in reports)
 
 
 def shoot_node(

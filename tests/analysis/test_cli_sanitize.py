@@ -1,5 +1,8 @@
 """The `repro sanitize` CLI: race reporting, clean scenarios, exit codes."""
 
+import pytest
+
+from repro.analysis.sanitizer import run_scenario
 from repro.cli import main
 
 
@@ -20,7 +23,7 @@ def test_sanitize_race_fixture_fails_with_report(capsys):
 
 def test_sanitize_table1_small_is_clean(capsys):
     code, out, _ = run_cli(
-        capsys, "sanitize", "table1", "--nodes", "2", "--no-stacks")
+        capsys, "sanitize", "reinstall", "--nodes", "2", "--no-stacks")
     assert code == 0
     assert "byte-identical across perturbation seeds" in out
     assert "0 error(s)" in out
@@ -38,9 +41,21 @@ def test_sanitize_custom_seeds(capsys):
 
 
 def test_sanitize_unknown_scenario_errors(capsys):
-    try:
+    with pytest.raises(SystemExit) as exc:
         main(["sanitize", "not-a-scenario"])
-    except ValueError as exc:
-        assert "unknown scenario" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'not-a-scenario'" in err
+    for name in ("chaos", "fork", "race-fixture", "reinstall", "storm"):
+        assert repr(name) in err
+    # the library call still names the problem
+    with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
+        run_scenario("bogus", 1)
+
+
+@pytest.mark.parametrize("scenario,nodes", [("chaos", "4"), ("fork", "64")])
+def test_sanitize_registry_scenarios_are_clean(capsys, scenario, nodes):
+    code, out, _ = run_cli(
+        capsys, "sanitize", scenario, "--nodes", nodes, "--no-stacks")
+    assert code == 0, out
+    assert "byte-identical across perturbation seeds 1 and 2" in out

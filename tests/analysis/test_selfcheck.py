@@ -416,6 +416,29 @@ def test_mixed_fixture_reports_both_families(tmp_path):
     assert codes(analyze_self(ctx, select=["RK3"])) == ["RK304"]
 
 
+def test_relative_import_in_package_init_resolves_within_the_package(tmp_path):
+    """`from .engine import f` in pkg/__init__.py names pkg.engine, not a
+    sibling of pkg: an __init__ module is its package."""
+    ctx = make_ctx(tmp_path, {
+        "pkg/__init__.py": """
+            from .engine import f
+            from . import engine
+
+            def g():
+                return f()
+        """,
+        "pkg/engine.py": """
+            def f():
+                return 1
+        """,
+    })
+    [init] = [mi for mi in ctx.files if mi.pkg_rel == "pkg/__init__.py"]
+    assert init.module == "repro.pkg"
+    assert init.from_imports["f"] == ("repro.pkg.engine", "f")
+    assert init.module_names["engine"] == "repro.pkg.engine"
+    assert ctx.functions["repro.pkg.g"].calls == ["repro.pkg.engine.f"]
+
+
 # -- self-hosting: the acceptance gate ----------------------------------------
 
 

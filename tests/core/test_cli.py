@@ -156,3 +156,23 @@ def test_explain_command_byte_identical_across_runs(capsys):
     _, first = run_cli(capsys, "explain", "--nodes", "2")
     _, second = run_cli(capsys, "explain", "--nodes", "2")
     assert first == second
+
+
+def test_explain_seed_reseeds_the_reinstall(capsys):
+    main(["explain", "--nodes", "2"])
+    default = capsys.readouterr().out
+    main(["explain", "--nodes", "2", "--seed", "0"])
+    assert capsys.readouterr().out == default
+    main(["explain", "--nodes", "2", "--seed", "3"])
+    assert capsys.readouterr().out != default
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--scenario", "storm", "--plan", "chaos"],
+    ["explain", "reinstall", "--plan", "default"],
+])
+def test_plan_outside_chaos_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--plan applies only to the chaos scenario" in capsys.readouterr().err

@@ -138,13 +138,13 @@ def test_profiled_sanitized_table1_counts_agree():
     """On a Table I run, profiler, engine and dispatch log count the same
     dispatches, and profiling leaves the sanitized digest unchanged."""
     with profiled() as session:
-        run = run_scenario("table1", 1, nodes=2, record_stacks=False)
+        run = run_scenario("reinstall", 1, nodes=2, record_stacks=False)
     [env] = session.envs
     prof = session.profilers[0]
     assert prof.events_dispatched == env.events_dispatched
     assert env.events_dispatched == len(env.sanitizer.dispatch_log)
     assert len(run.dispatch_log) == env.events_dispatched
-    plain = run_scenario("table1", 1, nodes=2, record_stacks=False)
+    plain = run_scenario("reinstall", 1, nodes=2, record_stacks=False)
     assert run.digest == plain.digest
 
 
