@@ -19,8 +19,8 @@ import pytest
 from helpers import print_rows
 from repro import build_cluster
 from repro.core.tools.shoot_node import makespan
-from repro.netsim import GIGABIT_ETHERNET, LoadBalancer
-from repro.services import InstallServer
+from repro.netsim import GIGABIT_ETHERNET
+from repro.services import InstallReplicaSet
 
 N = 32
 
@@ -79,30 +79,11 @@ def bench_replicated_servers(benchmark):
 
     def run():
         sim = build_cluster(n_compute=N)
-        frontend = sim.frontend
-        # Stand up a replica host serving the same distribution.
-        replica_host = sim.hardware.network.attach("replica-0")
-        replica = InstallServer(
-            sim.env, sim.hardware.network, "replica-0", efficiency=1.0
-        )
-        dist = frontend.distributions[frontend.config.dist_name]
-        replica.publish_packages(dist.name, dist.repository)
-        replica.register_kickstart_cgi(frontend.cgi)
-        lb = LoadBalancer([frontend.install_server.http, replica.http])
-
-        # Point the installer at the balanced pair.
-        class BalancedSource:
-            def fetch_kickstart(self, client):
-                return lb.get(client, "/install/kickstart.cgi")
-
-            def fetch_package(self, client, dist_name, pkg, max_rate=None):
-                return lb.get(
-                    client,
-                    f"/install/{dist_name}/RedHat/RPMS/{pkg.filename}",
-                    max_rate=max_rate,
-                )
-
-        frontend.installer.source = BalancedSource()
+        # One read-only replica beside the frontend's install server, and
+        # the installer pointed at the balanced pair.
+        replicas = InstallReplicaSet(sim.frontend.install_server)
+        replicas.add_replica()
+        sim.frontend.installer.source = replicas
         sim.integrate_all()
         return _span(sim.reinstall_all())
 

@@ -487,6 +487,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for a node count: an integer, zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _scenario_args(p: argparse.ArgumentParser, name: str,
                    seeded: bool = True) -> None:
     """The registry-backed arguments of trace, explain and sanitize: a
@@ -513,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="frontend + insert-ethers integration")
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_count, default=4)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("reinstall", help="concurrent reinstall (Table I point)")
-    p.add_argument("--nodes", type=int, default=8)
+    p.add_argument("--nodes", type=_count, default=8)
     p.set_defaults(fn=_cmd_reinstall)
 
     p = sub.add_parser("table1", help="the full Table I sweep")
@@ -724,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("reports", help="database-derived config files (§6.4)")
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_count, default=4)
     p.add_argument("--report", default="all",
                    choices=["all", "hosts", "dhcpd", "pbsnodes"])
     p.set_defaults(fn=_cmd_reports)

@@ -70,6 +70,8 @@ class ShootReport:
 
 def makespan(reports: Sequence[ShootReport]) -> float:
     """Seconds from the first reinstall's start to the last one's finish."""
+    if not reports:
+        return 0.0
     return max(r.finished_at for r in reports) - min(r.started_at for r in reports)
 
 
@@ -182,7 +184,7 @@ def _shoot_body(
             return report
         pdu, outlet = pdu_outlet
         report.method = "pdu"
-        yield env.process(pdu.hard_cycle(outlet))
+        yield from pdu.hard_cycle(outlet)
 
     # "pops open an xterm window which displays the status" — the eKV view
     report.ekv = EkvConsole(frontend.cluster, machine)

@@ -97,6 +97,10 @@ class ExecOptions:
             raise ValueError("jitter must be non-negative")
         if not 0 < self.straggler_percentile <= 1:
             raise ValueError("straggler_percentile must be in (0, 1]")
+        if not 0 <= self.straggler_after <= 1:
+            raise ValueError("straggler_after must be in [0, 1]")
+        if self.straggler_interval <= 0:
+            raise ValueError("straggler_interval must be positive")
 
 
 @dataclass

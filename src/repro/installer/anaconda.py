@@ -170,12 +170,14 @@ def fetch_with_retry(
 
 
 class InstallSource:
-    """Protocol the installer pulls from (an InstallServer or LoadBalancer).
+    """Protocol the installer pulls from (an InstallServer or InstallReplicaSet).
 
     Must provide ``fetch_kickstart(client, parent=None) -> Process``
     whose response body is an :class:`InstallProfile`, and
     ``fetch_package(client, dist, pkg, max_rate, parent=None) ->
-    Process``; ``parent`` threads trace context into the HTTP layer.
+    Process``: the HTTP request itself, its response carrying the
+    checksum of the payload received.  ``parent`` threads trace context
+    into the HTTP layer.
     """
 
 
@@ -199,10 +201,6 @@ class InstallReport:
     @property
     def total_seconds(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def total_minutes(self) -> float:
-        return self.total_seconds / 60.0
 
 
 class KickstartInstaller:

@@ -75,6 +75,8 @@ class StormOptions:
             raise ValueError("need 0 <= fail_at < restore_at")
         if self.deadline <= 0:
             raise ValueError("deadline must be positive")
+        if self.dhcp_stagger < 0:
+            raise ValueError("dhcp_stagger must be non-negative")
 
 
 @dataclass

@@ -300,6 +300,13 @@ class HttpServer:
                 if span is not None:
                     span.end(outcome="error", status=err.status)
                 raise
+            except Exception as err:
+                # The requester died in the accept queue, or a CGI handler
+                # raised (e.g. UnknownClient for an unregistered MAC).
+                if span is not None:
+                    span.end(outcome="aborted" if isinstance(err, Interrupt)
+                             else "error")
+                raise
             wire_path = self.network.path(self.host, client)
             flow = self.network.flows.transfer(
                 (self.service_link,) + wire_path,

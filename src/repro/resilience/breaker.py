@@ -16,7 +16,7 @@ knows better than our static timeout when it will have capacity.
 
 :class:`GuardedSource` wraps anything satisfying the installer's
 ``InstallSource`` protocol (an :class:`~repro.services.httpd.
-InstallServer` or a :class:`~repro.netsim.LoadBalancer` of replicas) and
+InstallServer` or an :class:`~repro.services.httpd.InstallReplicaSet`) and
 maintains one breaker per backend, keyed by server host name.
 """
 
@@ -163,29 +163,19 @@ class GuardedSource:
 
     # -- InstallSource protocol -------------------------------------------
     def fetch_kickstart(self, client: str, parent=None) -> Process:
-        # Trace context is forwarded only when present, so duck-typed
-        # sources without a ``parent`` kwarg keep working untraced.
-        if parent is None:
-            make = lambda: self.source.fetch_kickstart(client)
-        else:
-            make = lambda: self.source.fetch_kickstart(client, parent=parent)
         return self.env.process(
-            self._guard(make),
+            self._guard(
+                lambda: self.source.fetch_kickstart(client, parent=parent)
+            ),
             name=f"guarded kickstart {client}",
         )
 
     def fetch_package(self, client, dist_name, pkg, max_rate=None,
                       parent=None) -> Process:
-        if parent is None:
-            make = lambda: self.source.fetch_package(
-                client, dist_name, pkg, max_rate=max_rate
-            )
-        else:
-            make = lambda: self.source.fetch_package(
-                client, dist_name, pkg, max_rate=max_rate, parent=parent
-            )
         return self.env.process(
-            self._guard(make),
+            self._guard(lambda: self.source.fetch_package(
+                client, dist_name, pkg, max_rate=max_rate, parent=parent
+            )),
             name=f"guarded GET {pkg.filename} {client}",
         )
 

@@ -11,13 +11,12 @@ frontend.  Replication for load balancing (§6.3) reuses
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Union
+from typing import Callable, Optional, Union
 
 from ..netsim import (
     DEFAULT_HTTP_EFFICIENCY,
     Environment,
     HttpServer,
-    Interrupt,
     LoadBalancer,
     Network,
     Process,
@@ -99,43 +98,39 @@ class InstallServer(Service):
         self.http.register_cgi(KICKSTART_CGI_PATH, handler)
 
     # -- client operations ----------------------------------------------------------
-    def fetch_package(
-        self,
-        client: str,
-        dist_name: str,
-        pkg: Package,
-        max_rate: Optional[float] = None,
-        parent=None,
-    ) -> Process:
-        """GET one RPM (a process; yields the HttpResponse).
+    def fetch_package(self, client: str, dist_name: str, pkg: Package,
+                      max_rate: Optional[float] = None, parent=None) -> Process:
+        """GET one RPM: the HTTP request process itself.
 
-        The response carries the payload checksum the client actually
+        Its response carries the checksum of the payload the client
         received, so the installer can detect corrupted downloads.
         ``parent`` threads trace context down to the HTTP span.
         """
-        return self.env.process(
-            self._fetch_package(client, dist_name, pkg, max_rate, parent),
-            name=f"GET {pkg.filename} {client}<-{self.host}",
-        )
-
-    def _fetch_package(
-        self, client: str, dist_name: str, pkg: Package,
-        max_rate: Optional[float], parent=None,
-    ) -> Generator:
-        get = self.http.get(
+        return self._stamp(self.http.get(
             client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
             max_rate=max_rate, parent=parent,
-        )
-        try:
-            resp = yield get
-        except Interrupt:
-            if get.is_alive:
-                get.interrupt("fetch aborted")
-            raise
-        resp.checksum = pkg.checksum
-        if self.corruption_hook is not None and self.corruption_hook(client, pkg):
-            resp.checksum = f"corrupt:{pkg.checksum}"
-        return resp
+        ), client, pkg)
+
+    def _stamp(self, get: Process, client: str, pkg: Package) -> Process:
+        """Stamp the checksum the client received on ``get``'s response.
+
+        Appended before anyone can wait on ``get``, the callback runs when
+        the GET is dispatched: before any waiter resumes, but after
+        ``env.run(until=get)`` returns.  A failed or interrupted GET
+        (``ok`` with value ``None``) has nothing to stamp.  The hook is
+        read at response time: the fault injector may install it late.
+        """
+
+        def stamp(event: Process) -> None:
+            resp = event.value
+            if event.ok and resp is not None:
+                hook = self.corruption_hook
+                corrupt = hook is not None and hook(client, pkg)
+                resp.checksum = (f"corrupt:{pkg.checksum}" if corrupt
+                                 else pkg.checksum)
+
+        get.callbacks.append(stamp)
+        return get
 
     def fetch_kickstart(self, client: str, parent=None) -> Process:
         return self.http.get(client, KICKSTART_CGI_PATH, parent=parent)
@@ -192,11 +187,6 @@ class InstallReplicaSet:
     @should_avoid.setter
     def should_avoid(self, hook) -> None:
         self.balancer.should_avoid = hook
-
-    @property
-    def n_backends(self) -> int:
-        """Backends in the rotation (primary + active replicas)."""
-        return len(self.balancer.servers)
 
     @property
     def n_replicas(self) -> int:
@@ -256,55 +246,13 @@ class InstallReplicaSet:
             reaped.append(replica)
         return reaped
 
-    @property
-    def draining(self) -> list[InstallServer]:
-        return list(self._draining)
-
     # -- InstallSource protocol --------------------------------------------
     def fetch_kickstart(self, client: str, parent=None) -> Process:
         return self.balancer.get(client, KICKSTART_CGI_PATH, parent=parent)
 
-    def fetch_package(
-        self,
-        client: str,
-        dist_name: str,
-        pkg: Package,
-        max_rate: Optional[float] = None,
-        parent=None,
-    ) -> Process:
-        return self.env.process(
-            self._fetch_package(client, dist_name, pkg, max_rate, parent),
-            name=f"GET {pkg.filename} {client}<-replicaset",
-        )
-
-    def _fetch_package(
-        self, client: str, dist_name: str, pkg: Package,
-        max_rate: Optional[float], parent=None,
-    ) -> Generator:
-        get = self.balancer.get(
+    def fetch_package(self, client: str, dist_name: str, pkg: Package,
+                      max_rate: Optional[float] = None, parent=None) -> Process:
+        return self.primary._stamp(self.balancer.get(
             client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
             max_rate=max_rate, parent=parent,
-        )
-        try:
-            resp = yield get
-        except Interrupt:
-            if get.is_alive:
-                get.interrupt("fetch aborted")
-            raise
-        resp.checksum = pkg.checksum
-        # Read the hook at fetch time: the fault injector installs it on
-        # the primary after this set may already have been constructed.
-        hook = self.primary.corruption_hook
-        if hook is not None and hook(client, pkg):
-            resp.checksum = f"corrupt:{pkg.checksum}"
-        return resp
-
-    @property
-    def bytes_served(self) -> float:
-        servers = [self.primary, *self.replicas, *self._draining]
-        return sum(s.bytes_served for s in servers)
-
-    @property
-    def requests_served(self) -> int:
-        servers = [self.primary, *self.replicas, *self._draining]
-        return sum(s.requests_served for s in servers)
+        ), client, pkg)

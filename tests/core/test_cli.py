@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.tools.shoot_node import makespan
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,21 @@ def test_reinstall_command(capsys):
     assert code == 0
     assert "2 concurrent reinstalls" in out
     assert "ethernet" in out
+
+
+def test_reinstall_zero_nodes(capsys):
+    code, out = run_cli(capsys, "reinstall", "--nodes", "0")
+    assert code == 0
+    assert "0 concurrent reinstalls in 0.00 minutes" in out
+    assert makespan([]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["build", "reinstall", "reports"])
+def test_negative_node_count_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nodes", "-1"])
+    assert exc.value.code == 2
+    assert "--nodes: must be >= 0" in capsys.readouterr().err
 
 
 def test_table1_command_small(capsys):

@@ -34,6 +34,17 @@ def small_cluster(env, n=4):
     return machines
 
 
+@pytest.mark.parametrize("field, value", [
+    ("straggler_interval", 0),  # a zero-delay monitor loop livelocks
+    ("straggler_interval", -15.0),
+    ("straggler_after", -0.1),
+    ("straggler_after", 1.5),
+])
+def test_bad_straggler_options_are_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExecOptions(**{field: value})
+
+
 def run_task(env, machines, command, targets=None, **opts):
     rexec = Rexec(env, machines.__getitem__)
     task = ExecTask(env, rexec, ExecOptions(**opts))

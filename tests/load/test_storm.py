@@ -24,6 +24,13 @@ def test_options_validation():
         StormOptions(deadline=0.0)
 
 
+def test_negative_dhcp_stagger_is_rejected():
+    # Not silently run as "no stagger".
+    with pytest.raises(ValueError, match="dhcp_stagger"):
+        StormOptions(dhcp_stagger=-5)
+    assert StormOptions(dhcp_stagger=0).dhcp_stagger == 0
+
+
 def test_power_restore_plan_is_registered():
     plan = PLANS["power-restore"]
     kinds = [type(f) for f in plan.faults]

@@ -14,6 +14,7 @@ from repro.netsim import (
     Network,
     TransferAborted,
 )
+from repro.telemetry import Tracer, summarize
 
 
 @pytest.fixture
@@ -363,3 +364,22 @@ def test_load_balancer_skips_do_not_consume_failover_attempts():
     # starts 0,1,2,0 -> 1 + 0 + 2 + 1 skips, none of them dispatched
     assert lb.skips == 4
     assert servers[2].requests_served == 0
+
+
+def test_raising_cgi_handler_closes_its_http_span(net):
+    env, network = net
+    tracer = Tracer().attach(env)
+    network.attach("www")
+    network.attach("node")
+    server = HttpServer(network, "www")
+
+    def unknown_client(client, path):
+        raise LookupError(f"{client} is not in the database")
+
+    server.register_cgi("/ks.cgi", unknown_client)
+    get = server.get("node", "/ks.cgi")
+    with pytest.raises(LookupError):
+        env.run(until=get)
+    assert summarize(tracer)["open_by_kind"] == {}
+    (span,) = tracer.spans("http")
+    assert span.attrs["outcome"] == "error"

@@ -11,7 +11,7 @@ from repro.netsim import (
     Network,
     TransferAborted,
 )
-from repro.telemetry import Tracer
+from repro.telemetry import Tracer, summarize
 
 
 def make_http(n_clients=4, tracer=None):
@@ -312,3 +312,20 @@ def test_queue_timeout_sheds_carry_jittered_hints_too():
     assert len(results) == 2
     assert server.queue_timeouts == 2
     assert all(10.0 <= r.retry_after <= 15.0 for r in results)
+
+
+def test_interrupt_in_accept_queue_closes_http_span():
+    tracer = Tracer()
+    env, server = make_http(n_clients=2, tracer=tracer)
+    server.publish("/x", FAST_ETHERNET * 10)
+    server.configure_admission(AdmissionConfig(max_concurrent=1))
+    first = server.get("c0", "/x")
+    queued = server.get("c1", "/x")
+    env.run(until=1.0)
+    assert server.queue_depth == 1
+    queued.interrupt("node power-cycled")
+    env.run(until=first)
+    assert server.queue_depth == 0
+    assert summarize(tracer)["open_by_kind"] == {}
+    outcomes = [s.attrs["outcome"] for s in tracer.spans("http")]
+    assert outcomes == ["ok", "aborted"]

@@ -103,7 +103,7 @@ class FlakySource:
         self.calls = 0
         self.fail_times = fail_times
 
-    def fetch_kickstart(self, client):
+    def fetch_kickstart(self, client, parent=None):
         return self.env.process(self._fetch(), name="flaky fetch")
 
     def _fetch(self):
