@@ -97,8 +97,8 @@ _HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
 _SIM_PACKAGES = (
     "netsim", "installer", "services", "faults", "load", "monitoring",
     "exec", "resilience", "scheduler", "cluster", "core", "rpm",
-    "telemetry", "kernel", "quickbuild.py", "scenarios.py", "cli.py",
-    "__init__.py", "__main__.py",
+    "telemetry", "kernel", "quickbuild.py", "scenarios.py", "options.py",
+    "cli.py", "__init__.py", "__main__.py",
 )
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -26,13 +26,23 @@ from . import build_cluster, scenarios
 from .core.kickstart import KickstartGenerator, default_graph, default_node_files
 from .core.tools.shoot_node import makespan
 from .faults import PLANS
+from .options import OptionError, require
 from .rpm import Repository, community_packages, npaci_packages, stock_redhat
 
 __all__ = ["main"]
 
 
+def _fields(args: argparse.Namespace, *local: str) -> dict:
+    """The parsed flags that set a field, keyed by their ``dest`` (the
+    field's name): all but the command's ``local`` flags, leaving out
+    those not given (None) so the field keeps its own default."""
+    skip = {"command", "fn", *local}
+    return {k: v for k, v in vars(args).items()
+            if k not in skip and v is not None}
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
-    sim = build_cluster(n_compute=args.nodes)
+    sim = build_cluster(**_fields(args))
     names = sim.integrate_all()
     f = sim.frontend
     print(f"frontend {f.config.name}: {len(f.machine.rpmdb)} packages, "
@@ -44,7 +54,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_reinstall(args: argparse.Namespace) -> int:
-    reports = scenarios.run("reinstall", args.nodes).result
+    reports = scenarios.run("reinstall", **_fields(args)).result
     for r in sorted(reports, key=lambda r: r.host):
         print(f"  {r.host:<14} {r.method:<9} {r.minutes:6.2f} min")
     print(f"total: {len(reports)} concurrent reinstalls in "
@@ -53,6 +63,7 @@ def _cmd_reinstall(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    require(args.max_nodes >= 1, "max_nodes", args.max_nodes, ">= 1")
     paper = {1: 10.3, 2: 9.8, 4: 10.1, 8: 10.4, 16: 11.1, 32: 13.7}
     print(f"{'nodes':>5}  {'paper':>6}  {'measured':>8}")
     for n in sorted(paper):
@@ -125,13 +136,20 @@ def _possible_codes(passes, select, ignore) -> set[str]:
     return codes
 
 
+def _baseline(args: argparse.Namespace, default):
+    """The baseline ``--baseline``/``--no-baseline`` select, and its path."""
+    from .analysis import Baseline
+
+    path = args.baseline or default
+    return (Baseline() if args.no_baseline else Baseline.from_file(path)), path
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .analysis import (
         CONFIG_PASSES,
         SELF_PASSES,
-        Baseline,
         ConfigContext,
         analyze_config,
         analyze_self,
@@ -171,11 +189,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         ran_passes = list(CONFIG_PASSES)
         default_baseline = Path("lint-baseline.txt")
 
-    baseline_path = args.baseline or default_baseline
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        baseline = Baseline.from_file(baseline_path)
+    baseline, baseline_path = _baseline(args, default_baseline)
     diagnostics, suppressed = baseline.apply(diagnostics)
 
     # Baseline hygiene: an entry this run could have re-proven but did
@@ -211,10 +225,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from .analysis import Baseline, default_self_context, render_text
+    from .analysis import default_self_context, render_text
     from .analysis.sanitizer import diagnose_divergence, run_scenario
 
     seeds = args.seeds
+    require(seeds[0] != seeds[1], "seeds", seeds,
+            "two different perturbation seeds")
     runs = []
     for seed in seeds:
         run = run_scenario(args.scenario, seed, nodes=args.nodes,
@@ -239,8 +255,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         diagnostics.append(report.to_diagnostic())
         diagnostics.sort(key=lambda d: d.sort_key)
 
-    baseline = Baseline() if args.no_baseline else Baseline.from_file(
-        args.baseline or default_self_context().repo_root / "lint-baseline.txt")
+    baseline, _ = _baseline(
+        args, default_self_context().repo_root / "lint-baseline.txt")
     diagnostics, suppressed = baseline.apply(diagnostics)
 
     if report is not None:
@@ -256,7 +272,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 def _cmd_reports(args: argparse.Namespace) -> int:
     from .core.database import report_dhcpd, report_hosts, report_pbs_nodes
 
-    sim = build_cluster(n_compute=args.nodes)
+    sim = build_cluster(**_fields(args, "report"))
     sim.integrate_all()
     which = {
         "hosts": report_hosts,
@@ -270,28 +286,15 @@ def _cmd_reports(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
-    """Parse a ``--nodes`` value: a count, or a nodeset of targets.
-
-    ``32`` keeps the historical behaviour (a 32-node cluster, campaign
-    over all of it); ``node[0-4095]`` or ``compute-0-[0-15],@compute``
-    targets exactly those nodes, and the campaign grows the cluster to
-    cover the set.  Returns ``(n_nodes, targets-or-None)``.
-    """
-    return (int(value), None) if value.isdigit() else (1, value)
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    plan = args.plan
-    resilience = args.resilience
+    require(0 <= args.min_completion <= 1, "min_completion",
+            args.min_completion, "a fraction in [0, 1]")
+    opts = _fields(args, "min_completion", "frontend_crash")
     if args.frontend_crash:
         # The resilience-smoke scenario: crash the frontend mid-wave and
         # require the hardened stack to recover it.
-        plan = "frontend-crash"
-        resilience = True
-    n_nodes, targets = _campaign_nodes(args.nodes)
-    result = scenarios.run("chaos", n_nodes, seed=args.seed, plan=plan,
-                           resilience=resilience, targets=targets).result
+        opts.update(plan="frontend-crash", resilience=True)
+    result = scenarios.run("chaos", **opts).result
     print(result.render())
     ok = result.completion_rate >= args.min_completion
     if args.frontend_crash:
@@ -316,10 +319,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_storm(args: argparse.Namespace) -> int:
-    result = scenarios.run(
-        "storm", args.nodes, seed=args.seed, autoscale=not args.no_autoscale,
-        dhcp_stagger=args.stagger, deadline=args.deadline,
-    ).result
+    result = scenarios.run("storm", **_fields(args, "slo")).result
     print(result.render())
     if result.autoscaler is not None and result.scale_events:
         print()
@@ -334,17 +334,15 @@ def _cmd_storm(args: argparse.Namespace) -> int:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from .monitoring import MonitoringOptions
 
-    options = MonitoringOptions(interval=args.interval)
-
     def on_stack(stack) -> None:
-        if args.watch is not None:
-            stack.start_watch(period=args.watch)
+        if args.period is not None:
+            stack.start_watch(period=args.period)
 
-    n_nodes, targets = _campaign_nodes(args.nodes)
     result = scenarios.run(
-        "chaos", n_nodes, seed=args.seed, plan=args.plan,
-        resilience=args.resilience, monitoring=options,
-        on_monitoring=on_stack, targets=targets,
+        "chaos", **_fields(args, "interval", "period", "export", "alerts",
+                           "xml"),
+        monitoring=MonitoringOptions(interval=args.interval),
+        on_monitoring=on_stack,
     ).result
     stack = result.monitoring
     if args.xml:
@@ -374,45 +372,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_fork(args: argparse.Namespace) -> int:
-    from .exec import NodeSet
-
-    targets = args.nodes
-    if "@" in targets:
-        if args.size is None:
-            print("fork: --size is required when --nodes uses @groups",
-                  file=sys.stderr)
-            return 2
-        size = args.size
-    else:
-        # size the lab from the positional node[...] target set itself
-        indices = []
-        for name in NodeSet(targets):
-            if not (name.startswith("node") and name[4:].isdigit()):
-                print(f"fork: lab targets must look like node<i>, got {name!r}",
-                      file=sys.stderr)
-                return 2
-            indices.append(int(name[4:]))
-        size = max(max(indices) + 1, args.size or 0)
-    sys.stdout.write(scenarios.run(
-        "fork", size, seed=args.seed, targets=targets, dead=args.dead,
-        stragglers=args.stragglers, fanout=args.fanout,
-        command_timeout=args.timeout, max_retries=args.retries,
-        straggler_interval=args.straggler_interval,
-        straggler_factor=args.straggler_factor,
-    ).output)
+    sys.stdout.write(scenarios.run("fork", **_fields(args)).output)
     return 0
 
 
-def _traced_run(args: argparse.Namespace):
+def _traced_run(args: argparse.Namespace, *local: str):
     """Run ``args.scenario`` from the registry under a tracer."""
-    opts = {}
-    if args.plan is not None:
-        if args.scenario != "chaos":
-            args.error(f"--plan applies only to the chaos scenario, "
-                       f"not {args.scenario!r}")
-        opts["plan"] = args.plan
-    return scenarios.run(args.scenario, args.nodes, seed=args.seed,
-                         traced=True, **opts)
+    return scenarios.run(args.scenario, traced=True,
+                         **_fields(args, "scenario", *local))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -435,7 +402,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"{args.validate}: valid repro-trace JSONL")
         return 0
 
-    tracer = _traced_run(args).tracer
+    tracer = _traced_run(args, "format", "out", "summary", "validate").tracer
     if args.format == "chrome":
         # chrome://tracing / Perfetto trace_event JSON: one track per
         # host/service, flow arrows for cross-node causality.
@@ -468,8 +435,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from .netsim import profiled
     from .telemetry import dag_from_tracer, pick_root, render_report
 
+    require(args.top is None or args.top >= 1, "top", args.top, ">= 1")
     with profiled() if args.profile else nullcontext() as session:
-        run = _traced_run(args)
+        run = _traced_run(args, "top", "out", "profile")
     dag = dag_from_tracer(run.tracer)
     root = pick_root(dag)
     if root is None:
@@ -487,12 +455,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type for a node count: an integer, zero or more."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _count_or_nodeset(text: str):
+    """A campaign's ``--nodes``: a node count, or a nodeset of targets."""
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
 def _scenario_args(p: argparse.ArgumentParser, name: str,
@@ -510,22 +475,63 @@ def _scenario_args(p: argparse.ArgumentParser, name: str,
                        help="fault plan (chaos only; default 'default')")
         p.add_argument("--seed", type=int, default=None,
                        help="scenario seed (default: the scenario's own)")
-        p.set_defaults(error=p.error)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="NPACI Rocks reproduction: simulated cluster scenarios",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _campaign_args(p: argparse.ArgumentParser, plan: str) -> None:
+    """The reinstall-campaign arguments of chaos and monitor."""
+    p.add_argument("--nodes", type=_count_or_nodeset, default="32",
+                   help="node count, or a nodeset of campaign targets "
+                        "(node[0-4095], compute-0-[0-15])")
+    p.add_argument("--plan", default=plan, choices=sorted(PLANS),
+                   help="fault plan to run the campaign under")
+    p.add_argument("--seed", type=int, default=None,
+                   help="re-seed the plan (default: the plan's own seed)")
+    p.add_argument("--resilience", action="store_true",
+                   help="harden the frontend (supervisor+journal+breaker)")
+
+
+def _baseline_args(p: argparse.ArgumentParser) -> None:
+    """The suppression-baseline arguments of lint and sanitize."""
+    p.add_argument("--baseline", default=None, metavar="PATH",
+                   help="suppression baseline file "
+                        "(default: lint-baseline.txt)")
+    p.add_argument("--no-baseline", action="store_true",
+                   help="ignore any suppression baseline")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser without prefix abbreviations (`storm --dead 2` must not
+    run as --deadline) that knows each argument's flag by its ``dest``."""
+
+    def __init__(self, **kwargs):
+        self.flags: dict[str, str] = {}
+        #: the subcommand parsers by name (filled on the root parser)
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.setdefault(action.dest, (action.option_strings
+                                            or [action.dest])[0])
+        return action
+
+
+def build_parser() -> _Parser:
+    """The ``repro`` parser.  A flag that sets a field has
+    ``dest=<field name>``, so commands forward it by :func:`_fields`."""
+    parser = _Parser(prog="repro", description="NPACI Rocks reproduction: "
+                     "simulated cluster scenarios")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    parser.commands = sub.choices
 
     p = sub.add_parser("build", help="frontend + insert-ethers integration")
-    p.add_argument("--nodes", type=_count, default=4)
+    p.add_argument("--nodes", dest="n_compute", metavar="NODES", type=int,
+                   default=4)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("reinstall", help="concurrent reinstall (Table I point)")
-    p.add_argument("--nodes", type=_count, default=8)
+    p.add_argument("--nodes", type=int, default=8)
     p.set_defaults(fn=_cmd_reinstall)
 
     p = sub.add_parser("table1", help="the full Table I sweep")
@@ -569,11 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the determinism linter (RK2xx AST passes and "
                         "RK3xx dataflow passes) over src/repro instead of "
                         "the config analyzers")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="suppression baseline file "
-                        "(default: lint-baseline.txt)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any suppression baseline")
+    _baseline_args(p)
     p.add_argument("--prune-baseline", action="store_true",
                    help="rewrite the baseline file without stale entries "
                         "(entries that no longer suppress anything)")
@@ -592,26 +594,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-stacks", action="store_true",
                    help="skip per-event scheduling-stack capture (faster; "
                         "race reports lose their stacks)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="suppression baseline file "
-                        "(default: lint-baseline.txt)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any suppression baseline")
+    _baseline_args(p)
     p.set_defaults(fn=_cmd_sanitize)
 
     p = sub.add_parser(
         "chaos", help="reinstall campaign under a fault-injection plan"
     )
-    p.add_argument("--nodes", default="32",
-                   help="node count, or a nodeset of campaign targets "
-                        "(node[0-4095], compute-0-[0-15], @compute)")
-    p.add_argument("--plan", default="default", choices=sorted(PLANS))
-    p.add_argument("--seed", type=int, default=None,
-                   help="re-seed the plan (default: the plan's own seed)")
+    _campaign_args(p, plan="default")
     p.add_argument("--min-completion", type=float, default=0.9,
                    help="exit nonzero below this installed fraction")
-    p.add_argument("--resilience", action="store_true",
-                   help="harden the frontend (supervisor+journal+breaker)")
     p.add_argument("--frontend-crash", action="store_true",
                    help="run the frontend-crash recovery scenario: implies "
                         "--plan frontend-crash --resilience and verifies the "
@@ -626,10 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nodes", type=int, default=32)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--no-autoscale", action="store_true",
+    p.add_argument("--no-autoscale", dest="autoscale", action="store_false",
                    help="run the single-frontend baseline (expect it to "
                         "struggle at scale)")
-    p.add_argument("--stagger", type=float, default=45.0,
+    p.add_argument("--stagger", dest="dhcp_stagger", metavar="STAGGER",
+                   type=float, default=45.0,
                    help="max seeded per-node DHCP stagger after restore (s)")
     p.add_argument("--deadline", type=float, default=4.0 * 3600.0,
                    help="simulated seconds after restore before giving up")
@@ -642,17 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="reinstall campaign observed by the gmond/gmetad monitoring "
              "stack: cluster-top, alerts, RRD export, Ganglia XML",
     )
-    p.add_argument("--nodes", default="32",
-                   help="node count, or a nodeset of campaign targets "
-                        "(node[0-4095], compute-0-[0-15], @compute)")
-    p.add_argument("--plan", default="none", choices=sorted(PLANS),
-                   help="fault plan to run the campaign under")
-    p.add_argument("--seed", type=int, default=None,
-                   help="re-seed the plan (default: the plan's own seed)")
+    _campaign_args(p, plan="none")
     p.add_argument("--interval", type=float, default=15.0,
                    help="gmond sampling interval in simulated seconds")
-    p.add_argument("--watch", type=float, nargs="?", const=120.0, default=None,
-                   metavar="PERIOD",
+    p.add_argument("--watch", dest="period", metavar="PERIOD", type=float,
+                   nargs="?", const=120.0, default=None,
                    help="print cluster-top every PERIOD simulated seconds "
                         "during the campaign (default 120)")
     p.add_argument("--export", metavar="PATH", default=None,
@@ -663,8 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xml", action="store_true",
                    help="print the Ganglia-style XML dump instead of "
                         "cluster-top")
-    p.add_argument("--resilience", action="store_true",
-                   help="harden the frontend (supervisor+journal+breaker)")
     p.set_defaults(fn=_cmd_monitor)
 
     p = sub.add_parser(
@@ -681,14 +665,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "@groups, otherwise inferred from the nodeset")
     p.add_argument("--fanout", type=int, default=64,
                    help="sliding-window width (concurrent nodes)")
-    p.add_argument("--timeout", type=float, default=300.0,
+    p.add_argument("--timeout", dest="command_timeout", metavar="TIMEOUT",
+                   type=float, default=300.0,
                    help="per-attempt command deadline in simulated seconds")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", dest="max_retries", metavar="RETRIES",
+                   type=int, default=2,
                    help="extra attempts after the first")
-    p.add_argument("--dead", type=float, default=0.0,
+    p.add_argument("--dead", dest="dead_fraction", metavar="DEAD",
+                   type=float, default=0.0,
                    help="fraction of nodes dead (half dark, half killed "
                         "by the PDU mid-command)")
-    p.add_argument("--stragglers", type=float, default=0.0,
+    p.add_argument("--stragglers", dest="straggler_fraction",
+                   metavar="STRAGGLERS", type=float, default=0.0,
                    help="fraction of nodes running 10x slow")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--straggler-interval", type=float, default=15.0,
@@ -732,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("reports", help="database-derived config files (§6.4)")
-    p.add_argument("--nodes", type=_count, default=4)
+    p.add_argument("--nodes", dest="n_compute", metavar="NODES", type=int,
+                   default=4)
     p.add_argument("--report", default="all",
                    choices=["all", "hosts", "dhcpd", "pbsnodes"])
     p.set_defaults(fn=_cmd_reports)
@@ -741,8 +730,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except OptionError as exc:
+        # A field's bad value is a usage error of the flag that set it.
+        command = parser.commands[args.command]
+        command.error(exc.naming(command.flags.get(exc.field, exc.field)))
 
 
 if __name__ == "__main__":  # pragma: no cover

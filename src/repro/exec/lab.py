@@ -21,6 +21,7 @@ Everything flows from ``seed``; the same seed yields a byte-identical
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Generator, Optional, Sequence, Union
@@ -28,6 +29,7 @@ from typing import Generator, Optional, Sequence, Union
 from ..cluster import Machine, MachineState, PowerState
 from ..cluster.hardware import CATALOG, MacAllocator
 from ..netsim import Environment
+from ..options import require
 from ..scheduler.rexec import RemoteCommand, RemoteProcess, Rexec
 from .nodeset import NodeSet
 from .task import ExecOptions, ExecReport, ExecTask
@@ -57,14 +59,15 @@ class LabOptions:
     kernel_version: str = "2.4.14-rocks"
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ValueError("lab needs at least one node")
-        if not 0 <= self.dead_fraction < 1:
-            raise ValueError("dead_fraction must be in [0, 1)")
-        if not 0 <= self.straggler_fraction < 1:
-            raise ValueError("straggler_fraction must be in [0, 1)")
-        if self.command_time <= 0 or self.straggler_slowdown < 1:
-            raise ValueError("command_time must be positive, slowdown >= 1")
+        require(self.nodes >= 1, "nodes", self.nodes, ">= 1")
+        require(0 <= self.dead_fraction < 1, "dead_fraction",
+                self.dead_fraction, "in [0, 1)")
+        require(0 <= self.straggler_fraction < 1, "straggler_fraction",
+                self.straggler_fraction, "in [0, 1)")
+        require(0 < self.command_time < math.inf, "command_time",
+                self.command_time, "positive and finite")
+        require(1 <= self.straggler_slowdown < math.inf, "straggler_slowdown",
+                self.straggler_slowdown, ">= 1 and finite")
 
 
 class ExecLab:

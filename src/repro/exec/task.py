@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence, Union
 
 from ..netsim import AnyOf, Environment, Process
+from ..options import require
 from ..scheduler.rexec import (
     RemoteCommand,
     RemoteEnvironment,
@@ -85,22 +87,36 @@ class ExecOptions:
     straggler_interval: float = 15.0
 
     def __post_init__(self) -> None:
-        if self.fanout < 1:
-            raise ValueError("fanout must be at least 1")
-        if self.command_timeout is not None and self.command_timeout <= 0:
-            raise ValueError("command_timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if self.backoff <= 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be positive, factor >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if not 0 < self.straggler_percentile <= 1:
-            raise ValueError("straggler_percentile must be in (0, 1]")
-        if not 0 <= self.straggler_after <= 1:
-            raise ValueError("straggler_after must be in [0, 1]")
-        if self.straggler_interval <= 0:
-            raise ValueError("straggler_interval must be positive")
+        require(self.fanout >= 1, "fanout", self.fanout, ">= 1")
+        require(self.command_timeout is None
+                or 0 < self.command_timeout < math.inf, "command_timeout",
+                self.command_timeout, "positive and finite, or None")
+        require(self.max_retries >= 0, "max_retries", self.max_retries,
+                ">= 0")
+        require(0 < self.backoff < math.inf, "backoff", self.backoff,
+                "positive and finite")
+        require(1 <= self.backoff_factor < math.inf, "backoff_factor",
+                self.backoff_factor, ">= 1 and finite")
+        require(0 <= self.jitter < math.inf, "jitter", self.jitter,
+                "non-negative and finite")
+        # The last retry waits backoff * factor**(max_retries - 1), times
+        # up to 1 + jitter; past ~1000 retries that is no float at all.
+        try:
+            last = self.backoff * self.backoff_factor ** max(
+                self.max_retries - 1, 0)
+            last *= 1.0 + self.jitter
+        except OverflowError:
+            last = math.inf
+        require(last < math.inf, "max_retries", self.max_retries,
+                "small enough that the last backoff is a finite delay")
+        require(0 < self.straggler_percentile <= 1, "straggler_percentile",
+                self.straggler_percentile, "in (0, 1]")
+        require(0 <= self.straggler_after <= 1, "straggler_after",
+                self.straggler_after, "in [0, 1]")
+        require(0 < self.straggler_interval < math.inf, "straggler_interval",
+                self.straggler_interval, "positive and finite")
+        require(1 <= self.straggler_factor < math.inf, "straggler_factor",
+                self.straggler_factor, ">= 1 and finite")
 
 
 @dataclass
@@ -314,10 +330,13 @@ class ExecTask:
                 self._worker(state, name, rank), name=f"exec:{name}"
             )
             worker.callbacks.append(
-                lambda ev, s=state: self._on_worker_done(s, ev.value)
+                lambda ev, s=state: self._on_worker_done(s, ev)
             )
 
-    def _on_worker_done(self, state: _TaskState, result: NodeResult) -> None:
+    def _on_worker_done(self, state: _TaskState, worker: Process) -> None:
+        if not worker.ok:
+            raise worker.value
+        result = worker.value
         state.active.pop(result.node, None)
         result.straggler = result.node in state.flagged
         state.results[result.node] = result

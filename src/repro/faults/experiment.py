@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.tools import CampaignReport, EscalationPolicy, ReinstallCampaign
+from ..options import OptionError
 from ..quickbuild import build_cluster
 from .injector import FaultInjector
 from .plan import FaultPlan, named_plan
@@ -88,7 +89,9 @@ def campaign_size(targets: str) -> int:
 
     Only positional ``node<i>`` aliases and ``compute-<rack>-<rank>``
     names can size a cluster that does not exist yet; groups resolve
-    against the database, which needs the cluster built first.
+    against the database, which needs the cluster built first.  A set
+    that sizes no cluster is a bad ``nodes``
+    (:class:`~repro.options.OptionError`).
     """
     from ..exec import NodeSet
 
@@ -100,13 +103,15 @@ def campaign_size(targets: str) -> int:
             try:
                 rack, rank = (int(p) for p in name[len("compute-"):].split("-"))
             except ValueError:
-                raise ValueError(f"cannot size a cluster for {name!r}") from None
+                raise OptionError("nodes", "{}: cannot size a cluster "
+                                           f"for {name!r}") from None
             index = rack * 32 + rank
         else:
-            raise ValueError(f"cannot size a cluster for {name!r}")
+            raise OptionError("nodes", "{}: cannot size a cluster "
+                                       f"for {name!r}")
         highest = max(highest, index)
     if highest < 0:
-        raise ValueError(f"empty target set {targets!r}")
+        raise OptionError("nodes", f"{{}}: empty target set {targets!r}")
     return highest + 1
 
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cluster import MachineState
 from ..installer import DEFAULT_CALIBRATION, InstallCalibration
 from ..netsim import AdmissionConfig, AllOf, AnyOf, Interrupt
+from ..options import require
 from ..quickbuild import RocksCluster, build_cluster
 from ..services.httpd import InstallReplicaSet
 from ..telemetry import Tracer
@@ -38,6 +40,13 @@ __all__ = ["StormOptions", "StormResult", "run_storm", "slo_json"]
 
 SLO_FORMAT = "repro-storm-slo"
 SLO_VERSION = 1
+
+
+#: The longest DHCP stagger a storm simulates: one day.  Integration
+#: waits out each node's stagger in turn while the frontend's periodic
+#: services keep ticking, so wall time grows with the stagger (two nodes
+#: on a 2-core VM: 1e6 s took 3.8 s, 1e9 s over two minutes).
+MAX_DHCP_STAGGER = 86400.0
 
 
 @dataclass(frozen=True)
@@ -69,14 +78,13 @@ class StormOptions:
     deadline: float = 4.0 * 3600.0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("need at least one node")
-        if not 0 <= self.fail_at < self.restore_at:
-            raise ValueError("need 0 <= fail_at < restore_at")
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if self.dhcp_stagger < 0:
-            raise ValueError("dhcp_stagger must be non-negative")
+        require(self.n_nodes >= 1, "n_nodes", self.n_nodes, ">= 1")
+        require(0 <= self.fail_at < self.restore_at < math.inf, "fail_at",
+                self.fail_at, "in [0, restore_at) and restore_at finite")
+        require(0 < self.deadline < math.inf, "deadline", self.deadline,
+                "positive and finite")
+        require(0 <= self.dhcp_stagger <= MAX_DHCP_STAGGER, "dhcp_stagger",
+                self.dhcp_stagger, f"in [0, {MAX_DHCP_STAGGER:g}] seconds")
 
 
 @dataclass
@@ -195,7 +203,8 @@ def run_storm(
     )
     env = sim.env
     frontend = sim.frontend
-    sim.integrate_all()
+    # A node may wait the whole stagger before its first DISCOVER.
+    sim.integrate_all(per_node_deadline=3600.0 + opts.dhcp_stagger)
     t_integrated = env.now
 
     # Replica set first, so the breaker layer wraps the *balanced* source

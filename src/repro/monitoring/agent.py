@@ -92,7 +92,7 @@ class MetricAgent:
         seed: int = 0,
         extra_sampler: Optional[ExtraSampler] = None,
     ):
-        if interval <= 0:
+        if not interval > 0:  # NaN fails too
             raise ValueError("agent interval must be positive")
         self.machine = machine
         self.group = group

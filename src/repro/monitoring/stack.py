@@ -16,10 +16,12 @@ monitoring subsystem contributes zero simulation events.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from ..cluster import Machine
+from ..options import require
 from ..scheduler.pbs import JobState
 from .agent import GMOND_MULTICAST, MetricAgent
 from .aggregator import MetricAggregator
@@ -43,6 +45,12 @@ class MonitoringOptions:
     stale_after: Optional[float] = None
     #: alert rules; None -> :func:`~.alerts.default_rules`
     rules: Optional[tuple[AlertRule, ...]] = None
+
+    def __post_init__(self) -> None:
+        require(0 < self.interval < math.inf, "interval", self.interval,
+                "positive and finite")
+        require(self.stale_after is None or 0 < self.stale_after < math.inf,
+                "stale_after", self.stale_after, "positive and finite, or None")
 
 
 def frontend_sampler(frontend) -> Callable:
@@ -116,8 +124,7 @@ class MonitoringStack:
         self, period: float, sink: Callable[[str], None] = print
     ) -> None:
         """Emit a cluster-top snapshot every ``period`` simulated seconds."""
-        if period <= 0:
-            raise ValueError("watch period must be positive")
+        require(0 < period < math.inf, "period", period, "positive and finite")
 
         def loop():
             while True:

@@ -19,6 +19,7 @@ from .core.frontend import FrontendConfig, RocksFrontend
 from .core.tools import InsertEthers, ShootReport, shoot_nodes
 from .installer import DEFAULT_CALIBRATION, InstallCalibration
 from .netsim import AllOf, Environment, SimulationError
+from .options import require
 from .rpm import Repository
 from .telemetry import Tracer
 
@@ -135,6 +136,7 @@ def build_cluster(
     Passing a :class:`~repro.telemetry.Tracer` attaches it before any
     service starts, so the trace covers frontend bring-up too.
     """
+    require(n_compute >= 0, "n_compute", n_compute, ">= 0")
     env = Environment()
     if tracer is not None:
         tracer.attach(env)

@@ -23,7 +23,7 @@ def _scenario_choices(command):
 
 
 def test_registry_names_and_default_sizes():
-    assert {name: nodes for name, (_, nodes) in scenarios.SCENARIOS.items()} == {
+    assert {name: s.nodes for name, s in scenarios.SCENARIOS.items()} == {
         "reinstall": 8, "chaos": 8, "storm": 12, "fork": 512,
         "race-fixture": 8,
     }
